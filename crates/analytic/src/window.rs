@@ -10,8 +10,9 @@
 pub const THROUGHPUT_CAP: f64 = 64.0;
 
 /// Default window length (instructions). The paper uses `k = 400` on 100k+
-/// regions; we default to 256 on the scaled-down regions (DESIGN.md §3) —
-/// "any value of k in the order of the ROB size works well" (§3.2.1).
+/// regions; we default to 256 on the scaled-down regions (README,
+/// "Reproducing the paper") — "any value of k in the order of the ROB size
+/// works well" (§3.2.1).
 pub const DEFAULT_WINDOW: usize = 256;
 
 /// Number of complete `k`-windows over `n` instructions (at least 1 when

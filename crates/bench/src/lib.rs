@@ -25,7 +25,7 @@ use serde::Serialize;
 pub enum Scale {
     /// Tiny: CI-fast smoke runs.
     Quick,
-    /// Default scaled reproduction (DESIGN.md §3).
+    /// Default scaled reproduction (README, "Reproducing the paper").
     Default,
     /// Bigger run (closer to the paper; slower).
     Full,

@@ -447,7 +447,8 @@ impl FeatureStore {
                     // latency — Table 3's resource count is 11 but the paper
                     // does not name all of them; this memory-latency
                     // distribution carries the same information the
-                    // L1d/L2/prefetch parameters act on (DESIGN.md).
+                    // L1d/L2/prefetch parameters act on (README, "The
+                    // feature pipeline": the `mem_latency` block).
                     let data = &datas[d];
                     let mut raw = Vec::new();
                     let mut start = 0;

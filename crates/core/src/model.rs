@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use concorde_cyclesim::MicroArch;
-use concorde_ml::{Mlp, MlpScratch, QuantFeatureBuf, QuantScratch, QuantizedMlp};
+use concorde_ml::{kernel, Mlp, MlpScratch, QuantFeatureBuf, QuantScratch, QuantizedMlp};
 use serde::{Deserialize, Serialize};
 
 use crate::features::{AssemblyScratch, FeatureLayout, FeatureStore, FeatureVariant};
@@ -100,7 +100,7 @@ pub struct Normalizer {
     pub mean: Vec<f32>,
     /// Feature standard deviations (floored to avoid division blowups).
     pub std: Vec<f32>,
-    /// Apply `ln(1 + x)` before standardizing.
+    /// Apply `ln(1 + max(x, 0))` ([`kernel::log1p`]) before standardizing.
     pub log1p: bool,
 }
 
@@ -117,7 +117,9 @@ impl Normalizer {
             "bad sample shape"
         );
         let n = xs.len() / dim;
-        let tx = |x: f32| if log1p { x.max(0.0).ln_1p() } else { x };
+        // The serving transform exactly (`kernel::log1p` clamps to ≥ 0), so
+        // training and serving standardize the same values.
+        let tx = |x: f32| if log1p { kernel::log1p(x) } else { x };
         let mut mean = vec![0.0f64; dim];
         for row in xs.chunks_exact(dim) {
             for (m, &x) in mean.iter_mut().zip(row) {
@@ -155,17 +157,14 @@ impl Normalizer {
     /// Standardizes one feature vector in place.
     pub fn apply(&self, x: &mut [f32]) {
         debug_assert_eq!(x.len(), self.mean.len());
-        for ((x, m), s) in x.iter_mut().zip(&self.mean).zip(&self.std) {
-            let v = if self.log1p { x.max(0.0).ln_1p() } else { *x };
-            *x = (v - m) / s;
-        }
+        self.apply_batch(x);
     }
 
-    /// Standardizes a row-major batch in place.
+    /// Standardizes a row-major batch in place — bitwise equal to
+    /// [`Normalizer::apply`] per row, under every kernel
+    /// ([`kernel::standardize_rows`]).
     pub fn apply_batch(&self, xs: &mut [f32]) {
-        for row in xs.chunks_exact_mut(self.mean.len()) {
-            self.apply(row);
-        }
+        kernel::standardize_rows(xs, &self.mean, &self.std, self.log1p);
     }
 }
 
@@ -180,7 +179,7 @@ pub struct ConcordePredictor {
     pub mlp: Mlp,
     /// The MLP predicts `ln(CPI)`; the prediction is exponentiated. Keeps the
     /// paper's relative-error loss while letting a small network span the
-    /// 0.3–100+ CPI range (DESIGN.md §3).
+    /// 0.3–100+ CPI range.
     pub log_output: bool,
     /// Predictions are clamped to the label range observed in training
     /// (widened 2×): a guard against catastrophic extrapolation on inputs far

@@ -15,7 +15,8 @@ use concorde_cache::MemConfig;
 use concorde_cyclesim::MicroArch;
 use serde::{Deserialize, Serialize};
 
-/// All scaling knobs for one reproduction run (see DESIGN.md §3).
+/// All scaling knobs for one reproduction run (see the README, "Reproducing
+/// the paper").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReproProfile {
     /// Instructions per analyzed region.

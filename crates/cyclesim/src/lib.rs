@@ -3,7 +3,7 @@
 //! The reference trace-driven cycle-level out-of-order CPU simulator: the
 //! ground-truth function `f(program, microarchitecture) → CPI` that Concorde
 //! learns to approximate (the paper uses a proprietary gem5-based simulator in
-//! this role; see `DESIGN.md` for the substitution argument).
+//! this role; see the README's "Architecture" table for where it sits).
 //!
 //! All 20 design parameters of the paper's Table 1 are modelled — see
 //! [`MicroArch`] — spanning the frontend (fetch width/buffers, I-cache fills,

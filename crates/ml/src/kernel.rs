@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD microkernels for the MLP inference hot path.
+//! Runtime-dispatched SIMD microkernels for the inference hot path: the MLP
+//! tile forward pass and feature standardization ([`standardize_rows`]).
 //!
 //! The batched forward pass ([`crate::Mlp::predict_batch_into`]) evaluates
 //! one transposed tile of [`crate::Mlp::LANES`] samples per weight pass.
@@ -19,6 +20,14 @@
 //! - A given kernel is deterministic and batch-composition-independent:
 //!   partial tiles are zero-padded, never routed to a different code path,
 //!   so a sample's bits do not depend on what else shared its micro-batch.
+//! - Feature **standardization** ([`standardize_rows`]) is bitwise-identical
+//!   across every kernel and platform. Its `ln(1 + x)` is the in-tree
+//!   [`log1p`] (no libm, no FMA; Rust never contracts a separate multiply
+//!   and add), so the AVX2 copy of the row loop, the SSE2/NEON
+//!   auto-vectorized loop and a scalar build all round identically. Against
+//!   the earlier libm-based normalizer, predictions drifted once by at most
+//!   1e-5 relative (pinned by `tests/kernel_dispatch.rs`); they no longer
+//!   depend on the host's libm.
 //!
 //! Dispatch can be forced to scalar two ways: the `CONCORDE_FORCE_SCALAR`
 //! environment variable (read once per process; any value except `0`/empty
@@ -180,10 +189,131 @@ pub(crate) fn tile_forward(
     }
 }
 
+/// Cephes `logf` minimax coefficients for `ln(1 + f) ≈ f − f²/2 + f³·P(f)`
+/// on `f ∈ [√½ − 1, √2 − 1)`, highest degree first.
+const LOG_P: [f32; 9] = [
+    0.070_376_836,
+    -0.115_146_1,
+    0.116_769_984,
+    -0.124_201_41,
+    0.142_493_23,
+    -0.166_680_57,
+    0.200_007_14,
+    -0.249_999_94,
+    0.333_333_3,
+];
+/// `ln 2` split so `e · LN2_HI` is exact for every binade exponent `e`.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -0.000_212_194_44;
+
+/// `ln(1 + x)` for the feature normalizer: deterministic, branch-free, and
+/// within 1 ULP of the correctly rounded result for every non-negative
+/// finite `x` (tested on a strided sweep of all of them).
+///
+/// Inputs follow the normalizer's clamp: negatives, `−0` and NaN evaluate
+/// as `+0`. `+inf` maps to `+inf`; when `1 + x` rounds to 1 (tiny and
+/// subnormal `x`) the result is `x` itself.
+///
+/// Uses no libm call and no fused multiply-add, so the same bits come out
+/// of the scalar, SSE2, AVX2 and NEON builds — which is what lets
+/// [`standardize_rows`] vectorize without a per-kernel numerical contract.
+#[inline(always)]
+pub fn log1p(x: f32) -> f32 {
+    let x = if x > 0.0 { x } else { 0.0 };
+    let u = 1.0 + x;
+    // u = 2^e · m with m ∈ [√½, √2): biasing the bits by 1 − √½ carries
+    // mantissas at or above √2 into the next exponent.
+    let ix = u.to_bits().wrapping_add(0x3f80_0000 - 0x3f35_04f3);
+    let e = ((ix >> 23) as i32 - 127) as f32;
+    let f = f32::from_bits((ix & 0x007f_ffff) + 0x3f35_04f3) - 1.0;
+    // First-order correction for the rounding error of `1 + x`.
+    let c = (x - (u - 1.0)) / u;
+    let z = f * f;
+    let mut p = LOG_P[0];
+    for &k in &LOG_P[1..] {
+        p = p * f + k;
+    }
+    let y = f * z * p + (e * LN2_LO + c) - 0.5 * z;
+    let r = f + y + e * LN2_HI;
+    let r = if u == 1.0 { x } else { r };
+    if x == f32::INFINITY {
+        x
+    } else {
+        r
+    }
+}
+
+/// Standardizes row-major `xs` (`n × mean.len()`) in place:
+/// `x ← (tx(x) − mean) / std` per column, with `tx` = [`log1p`] when
+/// `log_first` and the identity otherwise. Division is a true division.
+///
+/// On x86_64 with AVX2 the row loop runs in an AVX2 copy of the same code
+/// (chosen by [`active_kernel`]); elsewhere the portable loop
+/// auto-vectorizes. Every path returns the same bits.
+///
+/// # Panics
+///
+/// Panics if `mean` and `std` differ in length or `xs` is not a whole
+/// number of rows.
+pub fn standardize_rows(xs: &mut [f32], mean: &[f32], std: &[f32], log_first: bool) {
+    assert_eq!(mean.len(), std.len(), "mean/std length mismatch");
+    assert!(
+        xs.len().is_multiple_of(mean.len().max(1)),
+        "xs is not a whole number of rows"
+    );
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe {
+            // SAFETY: dispatch only selects Avx2Fma after runtime detection
+            // of avx2+fma.
+            x86::standardize_rows_avx2(xs, mean, std, log_first);
+        },
+        _ => standardize_rows_portable(xs, mean, std, log_first),
+    }
+}
+
+/// The standardization row loop, inlined into each dispatch target so it
+/// is compiled (and vectorized) for that target's instruction set.
+#[inline(always)]
+fn standardize_rows_portable(xs: &mut [f32], mean: &[f32], std: &[f32], log_first: bool) {
+    let dim = mean.len();
+    if dim == 0 {
+        return;
+    }
+    for row in xs.chunks_exact_mut(dim) {
+        for ((x, &m), &s) in row.iter_mut().zip(mean).zip(std) {
+            *x = standardize(*x, m, s, log_first);
+        }
+    }
+}
+
+/// One element of [`standardize_rows`]: `(tx(v) − mean) / std`. The fused
+/// int8 path standardizes in registers through this same function, which
+/// is what keeps it bitwise equal to the materialized path.
+#[inline(always)]
+pub fn standardize(v: f32, mean: f32, std: f32, log_first: bool) -> f32 {
+    let t = if log_first { log1p(v) } else { v };
+    (t - mean) / std
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::Mlp;
     use std::arch::x86_64::*;
+
+    /// [`super::standardize_rows_portable`] compiled for AVX2 (8 lanes
+    /// instead of SSE2's 4). `fma` is enabled to match the dispatch kind,
+    /// but nothing here can use it: Rust never contracts a multiply and an
+    /// add into an FMA, so the output equals the portable loop bit for bit.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn standardize_rows_avx2(
+        xs: &mut [f32],
+        mean: &[f32],
+        std: &[f32],
+        log_first: bool,
+    ) {
+        super::standardize_rows_portable(xs, mean, std, log_first);
+    }
 
     /// AVX2+FMA transposed-tile kernel. Outputs are processed four at a time
     /// so four independent FMA chains are in flight (the single-chain
@@ -408,6 +538,92 @@ mod tests {
             );
         }
         assert_eq!(active_kernel(), outer);
+    }
+
+    #[test]
+    fn log1p_special_values() {
+        // The normalizer's clamp: negatives, −0 and NaN all evaluate as +0.
+        for x in [
+            0.0f32,
+            -0.0,
+            -0.5,
+            -1.0,
+            -f32::MAX,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            assert_eq!(log1p(x).to_bits(), 0.0f32.to_bits(), "log1p({x})");
+        }
+        // `1 + x == 1`: tiny and subnormal inputs come back unchanged.
+        let tiny = [
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            1e-30,
+            f32::EPSILON / 4.0,
+        ];
+        for x in tiny {
+            assert_eq!(1.0 + x, 1.0);
+            assert_eq!(log1p(x).to_bits(), x.to_bits(), "log1p({x:e})");
+        }
+        assert_eq!(log1p(f32::INFINITY), f32::INFINITY);
+        let max = log1p(f32::MAX);
+        let want = f64::from(f32::MAX).ln_1p() as f32;
+        assert!(ulp_distance(max, want) <= 1, "log1p(MAX) = {max} vs {want}");
+        assert_eq!(log1p(1.0), std::f32::consts::LN_2);
+    }
+
+    #[test]
+    fn log1p_is_within_one_ulp_on_a_strided_sweep() {
+        // Every 2003rd non-negative finite f32 (~1.07M inputs, every binade
+        // and scattered low mantissa bits) against f64 ln_1p rounded to f32.
+        // The stride keeps the debug-build test around a second.
+        let (mut worst, mut worst_x) = (0u32, 0.0f32);
+        for bits in (0..0x7f80_0000u32).step_by(2003) {
+            let x = f32::from_bits(bits);
+            let want = f64::from(x).ln_1p() as f32;
+            let d = ulp_distance(log1p(x), want);
+            if d > worst {
+                (worst, worst_x) = (d, x);
+            }
+        }
+        assert!(worst <= 1, "log1p off by {worst} ULP at x = {worst_x:e}");
+    }
+
+    #[test]
+    fn standardize_rows_is_bitwise_equal_across_kernels() {
+        let dim = 37; // not a multiple of any vector width
+        let mean: Vec<f32> = (0..dim).map(|k| (k as f32 * 0.3).sin()).collect();
+        let std: Vec<f32> = (0..dim)
+            .map(|k| 0.5 + (k as f32 * 0.7).cos().abs())
+            .collect();
+        let xs: Vec<f32> = (0..dim * 5)
+            .map(|i| match i % 9 {
+                0 => -1.0,
+                1 => f32::NAN,
+                2 => 1e-30,
+                _ => ((i as f32) * 0.37).sin().abs() * 10f32.powi(i as i32 % 7),
+            })
+            .collect();
+        for log_first in [false, true] {
+            let mut dispatched = xs.clone();
+            standardize_rows(&mut dispatched, &mean, &std, log_first);
+            let mut scalar = xs.clone();
+            {
+                let _g = forced_scalar();
+                standardize_rows(&mut scalar, &mean, &std, log_first);
+            }
+            for (i, (a, b)) in dispatched.iter().zip(&scalar).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "element {i} (log_first={log_first})"
+                );
+                let tx = if log_first { log1p(xs[i]) } else { xs[i] };
+                let want = (tx - mean[i % dim]) / std[i % dim];
+                assert_eq!(a.to_bits(), want.to_bits(), "element {i} vs scalar formula");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::kernel;
 use crate::mlp::{Linear, Mlp};
 
 /// One dense layer with `i8` weights: `y = w_scale ⊙ (Q x) + b`, where `Q`
@@ -231,9 +232,9 @@ impl QuantizedMlp {
 
     /// Fused first-layer forward: consumes encoded feature segments
     /// directly, dequantizing (`offset + scale · q`, the arena contract) and
-    /// standardizing (`(tx(v) − mean) / std`, `tx = ln(1+·)` iff `log1p`)
-    /// each element **in registers** while accumulating into the first
-    /// layer — no f32 feature vector is ever written to memory.
+    /// standardizing ([`kernel::standardize`]) each element **in registers**
+    /// while accumulating into the first layer — no f32 feature vector is
+    /// ever written to memory.
     ///
     /// # Panics
     ///
@@ -262,7 +263,7 @@ impl QuantizedMlp {
                 QuantSeg::U8 { len, scale, offset } => {
                     for &q in &feats.u8_data[u8_pos..u8_pos + len] {
                         let v = offset + scale * f32::from(q);
-                        let z = standardize(v, mean[k], std[k], log1p);
+                        let z = kernel::standardize(v, mean[k], std[k], log1p);
                         if z != 0.0 {
                             axpy_i8(acc, z, &l0.qw_t[k * out_dim..(k + 1) * out_dim]);
                         }
@@ -272,7 +273,7 @@ impl QuantizedMlp {
                 }
                 QuantSeg::F32 { len } => {
                     for &v in &feats.f32_data[f32_pos..f32_pos + len] {
-                        let z = standardize(v, mean[k], std[k], log1p);
+                        let z = kernel::standardize(v, mean[k], std[k], log1p);
                         if z != 0.0 {
                             axpy_i8(acc, z, &l0.qw_t[k * out_dim..(k + 1) * out_dim]);
                         }
@@ -344,15 +345,6 @@ impl QuantizedMlp {
             *y = self.predict(row, scratch);
         }
     }
-}
-
-/// `(tx(v) − mean) / std` with `tx = ln(1+·)` iff `log1p` — must match
-/// `Normalizer::apply` in `concorde-core` bit for bit (the fused path
-/// standardizes in registers, the materialized path in place).
-#[inline]
-fn standardize(v: f32, mean: f32, std: f32, log1p: bool) -> f32 {
-    let t = if log1p { v.max(0.0).ln_1p() } else { v };
-    (t - mean) / std
 }
 
 /// One encoded segment of a [`QuantFeatureBuf`].
@@ -564,10 +556,7 @@ mod tests {
         for log1p in [false, true] {
             let fused = q.predict_segments(&buf, &mean, &std, log1p, &mut scratch);
             let mut z = buf.materialize();
-            for (v, (m, s)) in z.iter_mut().zip(mean.iter().zip(&std)) {
-                let t = if log1p { v.max(0.0).ln_1p() } else { *v };
-                *v = (t - m) / s;
-            }
+            kernel::standardize_rows(&mut z, &mean, &std, log1p);
             let direct = q.predict(&z, &mut scratch);
             assert_eq!(
                 fused.to_bits(),

@@ -265,6 +265,10 @@ impl TcpClient {
     /// Any socket error.
     pub fn connect(addr: &str) -> std::io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
+        // Request/reply exchanges: without NODELAY, Nagle holds a line's
+        // last partial segment until the server ACKs the earlier ones, and
+        // the server delays that ACK (~40 ms) while it waits for the rest.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(TcpClient {
             reader,
@@ -332,9 +336,12 @@ impl TcpClient {
     }
 
     fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write per request line, newline included: a separate write for
+        // the `\n` would stall ~40 ms on Nagle plus the peer's delayed ACK.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())?;
         self.read_reply_line()
     }
 

@@ -2,7 +2,8 @@
 //! harness's control surface.
 //!
 //! A [`FaultPlan`] names *ordinals* at which each fault point fires: the
-//! N-th batched evaluation panics, the N-th store build panics or stalls,
+//! N-th batched evaluation panics, the N-th store build panics, stalls or
+//! is held until the test releases it,
 //! the N-th TCP reply is dropped mid-connection. Every fault point keeps
 //! its own atomic pass counter, so a plan fires the same *number* of faults
 //! at the same *points in the request stream* on every run — which thread
@@ -23,6 +24,7 @@
 //! `Vec::is_empty` check, no atomics touched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// One fault point: the 1-based ordinals it fires at, plus the pass counter.
@@ -69,6 +71,11 @@ pub struct FaultPlan {
     panic_build: FirePoint,
     slow_build: FirePoint,
     slow_build_delay: Duration,
+    hold_build: FirePoint,
+    hold_build_max: Duration,
+    /// Set once by [`FaultPlan::release_held_builds`]; held builds wait on it.
+    hold_released: Mutex<bool>,
+    hold_cv: Condvar,
     drop_reply: FirePoint,
 }
 
@@ -78,6 +85,7 @@ impl FaultPlan {
         self.panic_eval.at.is_empty()
             && self.panic_build.at.is_empty()
             && self.slow_build.at.is_empty()
+            && self.hold_build.at.is_empty()
             && self.drop_reply.at.is_empty()
     }
 
@@ -100,6 +108,30 @@ impl FaultPlan {
         self
     }
 
+    /// Arms a hold at the given 1-based store-build ordinals: the build
+    /// parks until [`FaultPlan::release_held_builds`] (or `max` elapses, so
+    /// a test that fails before releasing cannot hang its pool thread).
+    /// Unlike [`FaultPlan::slow_build_at`], how long the build stays out is
+    /// up to the caller, not a race against a fixed stall. Tests only; the
+    /// `CONCORDE_FAULT_PLAN` syntax has no hold point.
+    pub fn hold_build_at(mut self, at: Vec<u64>, max: Duration) -> Self {
+        self.hold_build = FirePoint::with(at);
+        self.hold_build_max = max;
+        self
+    }
+
+    /// Lets every held build (and any later hold ordinal) proceed.
+    pub fn release_held_builds(&self) {
+        *self.hold_released.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.hold_cv.notify_all();
+    }
+
+    /// How many builds have reached a hold ordinal so far (held now or
+    /// already released).
+    pub fn held_builds(&self) -> u64 {
+        self.hold_build.fired()
+    }
+
     /// Arms a mid-connection drop at the given 1-based TCP-reply ordinals.
     pub fn drop_reply_at(mut self, at: Vec<u64>) -> Self {
         self.drop_reply = FirePoint::with(at);
@@ -114,10 +146,16 @@ impl FaultPlan {
         }
     }
 
-    /// Hook inside a store build (under the build's unwind guard): stalls
-    /// and/or panics on chosen ordinals. One build ordinal drives both
-    /// points, counted independently.
+    /// Hook inside a store build (under the build's unwind guard): holds,
+    /// stalls and/or panics on chosen ordinals. One build ordinal drives
+    /// every point, counted independently.
     pub(crate) fn on_build(&self) {
+        if self.hold_build.fires() {
+            let released = self.hold_released.lock().unwrap_or_else(|e| e.into_inner());
+            let _ = self
+                .hold_cv
+                .wait_timeout_while(released, self.hold_build_max, |r| !*r);
+        }
         if self.slow_build.fires() {
             std::thread::sleep(self.slow_build_delay);
         }
@@ -235,6 +273,26 @@ mod tests {
         assert!(FaultPlan::parse("panic_eval@0").is_err());
         assert!(FaultPlan::parse("panic_eval@x").is_err());
         assert!(FaultPlan::parse("slow_build@1:fast").is_err());
+    }
+
+    #[test]
+    fn held_builds_wait_for_release() {
+        let plan = std::sync::Arc::new(
+            FaultPlan::default().hold_build_at(vec![2], Duration::from_secs(60)),
+        );
+        assert!(!plan.is_empty());
+        plan.on_build(); // ordinal 1: not held
+        assert_eq!(plan.held_builds(), 0);
+        let p = plan.clone();
+        let build = std::thread::spawn(move || p.on_build());
+        while plan.held_builds() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!build.is_finished(), "the held build must wait for release");
+        plan.release_held_builds();
+        build.join().unwrap();
+        assert_eq!(plan.held_builds(), 1);
     }
 
     #[test]

@@ -373,8 +373,8 @@ const MB: u64 = 1024 * 1024;
 /// Builds the full 29-program suite mirroring paper Table 2.
 ///
 /// Entries are ordered P1–P13, C1–C2, O1–O4, S1–S10. Trace counts and lengths
-/// are scaled down from the paper (see `DESIGN.md` §3) but preserve relative
-/// magnitudes.
+/// are scaled down from the paper (see the README, "Reproducing the paper")
+/// but preserve relative magnitudes.
 ///
 /// # Examples
 ///

@@ -3,8 +3,8 @@
 //! Facade for the Concorde reproduction — *Concorde: Fast and Accurate CPU
 //! Performance Modeling with Compositional Analytical-ML Fusion* (ISCA 2025)
 //! — re-exporting every workspace crate under one roof. See the repository
-//! `README.md` for the architecture overview and `DESIGN.md` for the complete
-//! system inventory.
+//! `README.md` for the architecture overview, the feature pipeline, the
+//! serving engine and how the reproduction is scaled.
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|

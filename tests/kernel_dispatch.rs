@@ -1,16 +1,18 @@
 //! Vector-kernel dispatch coverage: scalar↔SIMD max-ULP equivalence over
 //! random layer shapes and ragged batches (proptest), the int8-weight CPI
-//! drift pin mirroring the arena-quantization contract, and bitwise
-//! equality of the fused dequantize-assembly path against the materialized
-//! f32 feature vector.
+//! drift pin mirroring the arena-quantization contract, bitwise equality of
+//! the fused dequantize-assembly path against the materialized f32 feature
+//! vector, and the normalizer contract (bitwise across kernels, ≤ 1e-5 CPI
+//! drift against a libm `ln_1p` reference).
 
+use concorde_suite::ml::kernel::log1p;
 use concorde_suite::ml::{
     active_kernel, detected_kernel, forced_scalar, kernel_name, ulp_distance, KernelKind,
     QuantFeatureBuf, QuantScratch,
 };
 use concorde_suite::prelude::*;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 /// Scalar and FMA kernels sum each output in the same left-to-right order;
@@ -275,4 +277,104 @@ fn fused_prediction_matches_materialized_bitwise() {
             );
         }
     }
+}
+
+/// Raw feature rows for a spread of architectures: the two grid points,
+/// an off-grid one, and seeded random samples (nearest-grid lookups).
+fn feature_rows(
+    store: &FeatureStore,
+    n1: MicroArch,
+    big: MicroArch,
+    variant: FeatureVariant,
+) -> Vec<Vec<f32>> {
+    let mut off = n1;
+    off.rob_size = 200;
+    off.lq_size = 40;
+    let mut rng = ChaCha12Rng::seed_from_u64(7);
+    let mut archs = vec![n1, big, off];
+    archs.extend((0..13).map(|_| MicroArch::sample(&mut rng)));
+    archs.iter().map(|a| store.features(a, variant)).collect()
+}
+
+/// Normalization is bitwise-identical under the dispatched and the forced
+/// scalar kernel, and a batch equals its rows normalized one at a time.
+#[test]
+fn normalizer_is_bitwise_equal_across_kernels_and_batching() {
+    let (store, n1, big) = reference_store();
+    let rows = feature_rows(&store, n1, big, FeatureVariant::Full);
+    let dim = rows[0].len();
+    let raw: Vec<f32> = rows.concat();
+    for log1p in [true, false] {
+        let norm = Normalizer::fit(&raw, dim, log1p);
+        let mut dispatched = raw.clone();
+        norm.apply_batch(&mut dispatched);
+        let mut scalar = raw.clone();
+        {
+            let _g = forced_scalar();
+            assert_eq!(active_kernel(), KernelKind::Scalar);
+            norm.apply_batch(&mut scalar);
+        }
+        let mut per_row = raw.clone();
+        for row in per_row.chunks_exact_mut(dim) {
+            norm.apply(row);
+        }
+        for (i, ((d, s), r)) in dispatched.iter().zip(&scalar).zip(&per_row).enumerate() {
+            assert_eq!(
+                d.to_bits(),
+                s.to_bits(),
+                "element {i} (log1p={log1p}): {} {d} vs scalar {s}",
+                kernel_name()
+            );
+            assert_eq!(
+                d.to_bits(),
+                r.to_bits(),
+                "element {i}: batch {d} vs row {r}"
+            );
+        }
+    }
+}
+
+/// The in-tree `log1p` replaced the host libm's `ln_1p` in the normalizer.
+/// CPI from the trained model stays within 1e-5 relative of a reference
+/// that standardizes with libm. Store features take few distinct values,
+/// so each row is also probed with seeded multiplicative jitter, which
+/// reaches inputs where the two `ln(1 + x)` implementations round apart.
+#[test]
+fn normalizer_drift_against_libm_reference_below_1e5() {
+    let profile = quick_profile();
+    let model = tiny_model(&profile);
+    assert!(model.normalizer.log1p, "the trainer fits in log space");
+    let (store, n1, big) = reference_store();
+    // Reference: libm `ln_1p` applied up front, then the same model with
+    // the transform switched off — identical standardization and MLP.
+    let mut reference = model.clone();
+    reference.normalizer.log1p = false;
+    let mut rng = ChaCha12Rng::seed_from_u64(11);
+    let (mut worst, mut differing) = (0.0f64, 0usize);
+    for row in feature_rows(&store, n1, big, model.layout.variant) {
+        for jitter in [0.0f32, 1e-3, 3e-2] {
+            let probe: Vec<f32> = row
+                .iter()
+                .map(|x| x * (1.0 + jitter * (rng.gen::<f32>() - 0.5)))
+                .collect();
+            let libm: Vec<f32> = probe.iter().map(|x| x.max(0.0).ln_1p()).collect();
+            differing += probe
+                .iter()
+                .zip(&libm)
+                .filter(|(x, l)| log1p(**x).to_bits() != l.to_bits())
+                .count();
+            let cpi = model.predict_features(&probe);
+            let want = reference.predict_features(&libm);
+            assert!(cpi.is_finite() && want > 0.0);
+            worst = worst.max((cpi - want).abs() / want);
+        }
+    }
+    assert!(
+        differing > 0,
+        "no probe reached an input where the two differ"
+    );
+    assert!(
+        worst <= 1e-5,
+        "normalizer drift {worst:.3e} vs the libm reference exceeds 1e-5"
+    );
 }

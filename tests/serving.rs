@@ -789,3 +789,38 @@ fn tcp_protocol_roundtrip() {
     let wl = client.workloads().unwrap();
     assert_eq!(wl.as_array().map(Vec::len), Some(suite().len()));
 }
+
+/// `TcpClient` sends each request line in one write on a `TCP_NODELAY`
+/// socket. Split writes (line, then `\n`) without it stall every exchange on
+/// Nagle plus the server's delayed ACK — about 40 ms each on Linux loopback.
+#[test]
+fn tcp_client_round_trips_do_not_stall_on_delayed_acks() {
+    let (model, profile) = tiny_service_parts();
+    let service = Box::leak(Box::new(PredictionService::start(
+        model,
+        profile,
+        quick_config(),
+    )));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let _ = service.serve_tcp(listener);
+    });
+    let mut client = TcpClient::connect(&addr).expect("connect to in-test server");
+    let req = PredictRequest::new(1, "S5", ArchSpec::base("n1"));
+    assert!(client.predict(&req).unwrap().cpi.unwrap() > 0.0);
+
+    const N: u32 = 20;
+    let t0 = std::time::Instant::now();
+    for _ in 0..N {
+        let resp = client.predict(&req).unwrap();
+        assert!(resp.cached, "warm requests must hit the cached store");
+    }
+    let elapsed = t0.elapsed();
+    // A delayed-ACK stall costs ≥ 40 ms per exchange, so a stalling client
+    // needs ≥ 800 ms here; warm requests take ~2 ms (the batch window).
+    assert!(
+        elapsed < Duration::from_millis(40) * N / 2,
+        "{N} warm round trips took {elapsed:?}: the client is stalling on delayed ACKs"
+    );
+}

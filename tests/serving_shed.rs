@@ -1,10 +1,11 @@
 //! SLO-aware miss load-shedding: the shed decision function, the degraded
 //! analytic-answer path, and the exact-vs-approximate answer contract.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use concorde_suite::prelude::*;
-use concorde_suite::serve::shed_decision;
+use concorde_suite::serve::{shed_decision, FaultPlan};
 use proptest::prelude::*;
 
 /// Small but real model + profile shared by the service tests.
@@ -256,6 +257,9 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
     // storm hammering ONE key must pay the analytic computation once —
     // repeats are served from the per-key memo bitwise identically.
     let (model, profile) = tiny_service_parts();
+    // Build 1 seeds the EWMA; build 2 is the pin, held until the storm and
+    // memo assertions are done — its length no longer races the storm.
+    let plan = Arc::new(FaultPlan::default().hold_build_at(vec![2], Duration::from_secs(120)));
     let service = PredictionService::start(
         model,
         profile,
@@ -264,25 +268,32 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
             max_batch: 1,
             batch_deadline: Duration::from_micros(1),
             precompute_workers: 1,
+            fault_plan: Some(plan.clone()),
             ..ServeConfig::default()
         },
     );
     let client = service.client();
 
-    // Seed the EWMA, then pin the single pool worker. Full-length pin in
-    // BOTH profiles: the storm below runs ~40 shed computations (~1s in
-    // debug), and the backlog assertions need the pin to outlast them all.
+    // Seed the EWMA, then pin the single pool worker.
     client
         .predict(PredictRequest::new(0, "S5", ArchSpec::base("n1")))
         .unwrap();
     let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
     long.start = 4_096;
-    long.len = 131_072;
     let long_rx = client.submit(long).unwrap();
+    // The storm starts only once the pool worker is parked in the pin.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while plan.held_builds() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pin build never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Storm: 40 distinct zero-deadline cold keys. Tiny starts keep each
-    // key's warmup (and so its shed answer and speculative build) cheap,
-    // so the whole storm lands while the pool is still pinned. The first
+    // key's warmup (and so its shed answer and speculative build) cheap;
+    // the held pin keeps every speculative build queued. The first
     // ~31 register speculative builds; once the backlog passes the
     // 32-per-worker backstop the rest are answered without queueing
     // anything.
@@ -333,7 +344,8 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
         "pin build finished mid-hammer — the memo assertions above lost their premise"
     );
 
-    // Drain: the long build plus every registered speculative build lands.
+    // Drain: the pin plus every registered speculative build lands.
+    plan.release_held_builds();
     let _ = long_rx.recv().unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
     loop {
