@@ -13,12 +13,9 @@
 //! 2. `serve_cold_warm` — the mixed cold/warm shape the precompute pool
 //!    exists for: each iteration fires one *cold*-region request
 //!    (fire-and-forget) and then measures a 16-request *warm* (cache-hit)
-//!    batch, on a single batch worker. Under `inline_miss` the worker
-//!    builds the cold store itself, so the warm batch stalls behind a full
-//!    analytic precompute; under `async_pool` the miss parks on the
-//!    dedicated pool and warm latency stays flat. The reported medians are
-//!    the hit-path p50 under cold-region churn — expect the async-pool
-//!    median to be ≥2× (typically orders of magnitude) better.
+//!    batch, on a single batch worker. The miss parks on the dedicated
+//!    pool, so warm latency stays flat. The reported median is the
+//!    hit-path p50 under cold-region churn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -26,9 +23,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use concorde_core::prelude::*;
-use concorde_serve::{
-    ArchSpec, MissPolicy, PredictRequest, PredictionService, ServeConfig, SweepScope,
-};
+use concorde_serve::{ArchSpec, PredictRequest, PredictionService, ServeConfig, SweepScope};
 use concorde_trace::by_id;
 
 struct Setup {
@@ -131,33 +126,6 @@ fn bench_serve(c: &mut Criterion) {
             b.iter(|| client.predict_many(reqs.clone()).expect("batch prediction"));
         });
     }
-    drop(client);
-    drop(service);
-
-    // The same warm batched shape with `--model-encoding int8`: group
-    // evaluation runs the fused dequantize-assembly path instead of the
-    // f32 batched forward.
-    let int8_service = PredictionService::start(
-        s.model.clone(),
-        s.profile.clone(),
-        ServeConfig {
-            workers: 4,
-            max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
-            sweep: SweepScope::Quantized,
-            model_encoding: concorde_core::model::ModelEncoding::Int8,
-            ..ServeConfig::default()
-        },
-    );
-    let client = int8_service.client();
-    client
-        .predict(requests(1).pop().unwrap())
-        .expect("warmup prediction");
-    g.throughput(Throughput::Elements(128));
-    g.bench_function("service_batch_128_int8", |b| {
-        let reqs = requests(128);
-        b.iter(|| client.predict_many(reqs.clone()).expect("batch prediction"));
-    });
     g.finish();
 }
 
@@ -173,9 +141,8 @@ fn bench_cold_warm(c: &mut Criterion) {
     let s = setup();
     let mut g = c.benchmark_group("serve_cold_warm");
 
-    // The cheap per-arch sweep keeps each cold build to a few milliseconds,
-    // so both policies complete in sane bench time; the *ratio* between them
-    // is the result. One store per distinct region start.
+    // The cheap per-arch sweep keeps each cold build to a few
+    // milliseconds. One store per distinct region start.
     let arch = concorde_cyclesim::MicroArch::arm_n1();
     let warm_store_bytes = {
         let spec = by_id("S5").unwrap();
@@ -189,55 +156,47 @@ fn bench_cold_warm(c: &mut Criterion) {
         FeatureStore::precompute(w, r, &SweepConfig::for_arch(&arch), &s.profile).approx_bytes()
     };
 
-    for (name, policy) in [
-        ("async_pool", MissPolicy::AsyncPool),
-        ("inline_miss", MissPolicy::Inline),
-    ] {
-        let service = PredictionService::start(
-            s.model.clone(),
-            s.profile.clone(),
-            ServeConfig {
-                // ONE batch worker: an inline miss stalls the entire hit
-                // path; the async pool leaves it free.
-                workers: 1,
-                precompute_workers: 1,
-                max_batch: 16,
-                batch_deadline: Duration::from_micros(200),
-                // Budget for ~2 stores on one shard: the hot warm store
-                // stays resident while each landing cold store evicts the
-                // previous one, so the cold keys in the ring below stay
-                // genuinely cold across iterations.
-                cache_shards: 1,
-                cache_bytes: warm_store_bytes * 5 / 2,
-                miss_policy: policy,
-                sweep: SweepScope::PerArch,
-                ..ServeConfig::default()
-            },
-        );
-        let client = service.client();
-        client
-            .predict(warm_requests(1).pop().unwrap())
-            .expect("warm the S5 store");
+    let service = PredictionService::start(
+        s.model.clone(),
+        s.profile.clone(),
+        ServeConfig {
+            // ONE batch worker: the hit path must stay free while the pool
+            // builds the cold store.
+            workers: 1,
+            precompute_workers: 1,
+            max_batch: 16,
+            batch_deadline: Duration::from_micros(200),
+            // Budget for ~2 stores on one shard: the hot warm store stays
+            // resident while each landing cold store evicts the previous
+            // one, so the cold keys in the ring below stay genuinely cold
+            // across iterations.
+            cache_shards: 1,
+            cache_bytes: warm_store_bytes * 5 / 2,
+            sweep: SweepScope::PerArch,
+            ..ServeConfig::default()
+        },
+    );
+    let client = service.client();
+    client
+        .predict(warm_requests(1).pop().unwrap())
+        .expect("warm the S5 store");
 
-        let cold_seq = AtomicU64::new(0);
-        g.throughput(Throughput::Elements(16));
-        g.bench_function(format!("warm16_p50_under_cold_churn/{name}"), |b| {
-            b.iter(|| {
-                // Fire one cold-region request and do not wait for it; a
-                // small ring of starts keeps pool backlog bounded (repeat
-                // submissions coalesce onto the in-flight build) while the
-                // tight byte budget above keeps the ring cold.
-                let i = cold_seq.fetch_add(1, Ordering::Relaxed);
-                let mut cold = PredictRequest::new(1_000_000 + i, "S5", ArchSpec::base("n1"));
-                cold.start = 1_000_000 * (1 + i % 4);
-                let _cold_rx = client.submit(cold).expect("submit cold");
-                // Measured: the warm 16-request batch (the hit path).
-                client.predict_many(warm_requests(16)).expect("warm batch")
-            });
+    let cold_seq = AtomicU64::new(0);
+    g.throughput(Throughput::Elements(16));
+    g.bench_function("warm16_p50_under_cold_churn/async_pool", |b| {
+        b.iter(|| {
+            // Fire one cold-region request and do not wait for it; a small
+            // ring of starts keeps pool backlog bounded (repeat submissions
+            // coalesce onto the in-flight build) while the tight byte
+            // budget above keeps the ring cold.
+            let i = cold_seq.fetch_add(1, Ordering::Relaxed);
+            let mut cold = PredictRequest::new(1_000_000 + i, "S5", ArchSpec::base("n1"));
+            cold.start = 1_000_000 * (1 + i % 4);
+            let _cold_rx = client.submit(cold).expect("submit cold");
+            // Measured: the warm 16-request batch (the hit path).
+            client.predict_many(warm_requests(16)).expect("warm batch")
         });
-        drop(client);
-        drop(service);
-    }
+    });
     g.finish();
 }
 

@@ -90,19 +90,6 @@ fn bench_speed(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-
-    // Int8-weight inference, same store/arch: the materialized path (f32
-    // features → quantized MLP) and the fused path (encoded segments
-    // straight into the quantized first layer).
-    let qmlp = s.model.quantized();
-    let mut qbuf = concorde_ml::QuantFeatureBuf::default();
-    let mut qscratch = concorde_ml::QuantScratch::default();
-    c.bench_function("concorde_inference_int8_fused", |b| {
-        b.iter(|| {
-            s.model
-                .predict_quantized(&qmlp, &s.store, &s.arch, &mut qbuf, &mut qscratch)
-        });
-    });
 }
 
 /// The raw MLP forward at serving batch sizes, dispatched kernel vs the
@@ -115,9 +102,7 @@ fn bench_mlp_kernels(c: &mut Criterion) {
     // The serving model's shape class: wide standardized input, two hidden
     // layers, scalar output.
     let mlp = concorde_ml::Mlp::new(&[512, 64, 32, 1], &mut rng);
-    let qmlp = mlp.quantize();
     let mut scratch = concorde_ml::MlpScratch::default();
-    let mut qscratch = concorde_ml::QuantScratch::default();
     let n = 128usize;
     let xs: Vec<f32> = (0..n * 512)
         .map(|i| ((i as f32) * 0.37).sin() * 2.0)
@@ -132,9 +117,6 @@ fn bench_mlp_kernels(c: &mut Criterion) {
     g.bench_function("batch128/scalar_forced", |b| {
         let _guard = concorde_ml::forced_scalar();
         b.iter(|| mlp.predict_batch_into(&xs, &mut out, &mut scratch));
-    });
-    g.bench_function("batch128/int8", |b| {
-        b.iter(|| qmlp.predict_batch_into(&xs, &mut out, &mut qscratch))
     });
     g.finish();
 }

@@ -3,25 +3,19 @@
 use std::path::Path;
 
 use concorde_cyclesim::MicroArch;
-use concorde_ml::{kernel, Mlp, MlpScratch, QuantFeatureBuf, QuantScratch, QuantizedMlp};
+use concorde_ml::{kernel, Mlp, MlpScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::features::{AssemblyScratch, FeatureLayout, FeatureStore, FeatureVariant};
 
-/// Reusable buffers for the batched serving predictors
-/// ([`ConcordePredictor::predict_batch_into`] /
-/// [`ConcordePredictor::predict_batch_quantized_into`]): activation arenas,
-/// the fused-assembly segment buffer, the assembly plan, and the arch-dedup
-/// tables. One per worker; with a warm scratch the whole group evaluation
-/// allocates nothing.
+/// Reusable buffers for the batched serving predictor
+/// ([`ConcordePredictor::predict_batch_into`]): the activation arena, the
+/// assembly plan, and the arch-dedup tables. One per worker; with a warm
+/// scratch the whole group evaluation allocates nothing.
 #[derive(Default)]
 pub struct PredictScratch {
     /// MLP activation arena (f32 forward pass).
     pub mlp: MlpScratch,
-    /// Quantized forward-pass arena.
-    pub quant: QuantScratch,
-    /// Fused dequantize-assembly segment buffer.
-    pub qbuf: QuantFeatureBuf,
     asm: AssemblyScratch,
     uniq: Vec<MicroArch>,
     map: Vec<u32>,
@@ -47,46 +41,6 @@ fn dedup_archs(archs: &[MicroArch], uniq: &mut Vec<MicroArch>, map: &mut Vec<u32
             }
         };
         map.push(at as u32);
-    }
-}
-
-/// Which weight encoding the inference tier computes with (`--model-encoding`).
-///
-/// [`ModelEncoding::Int8`] serves a [`QuantizedMlp`] built from the trained
-/// f32 model at startup (per-output-channel scales, i32/f32 accumulate —
-/// see `concorde_ml::qmlp`); prediction drift against the f32 reference is
-/// pinned `< 5%` by `tests/kernel_dispatch.rs`, mirroring the int8 *arena*
-/// contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModelEncoding {
-    /// Full-precision weights — the trained model as-is.
-    F32,
-    /// `i8` weights with per-output-channel scales.
-    Int8,
-}
-
-impl ModelEncoding {
-    /// Stable lowercase name for flags, logs, and metrics labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModelEncoding::F32 => "f32",
-            ModelEncoding::Int8 => "int8",
-        }
-    }
-
-    /// Parses a `--model-encoding` flag value.
-    pub fn parse(s: &str) -> Option<ModelEncoding> {
-        match s.to_ascii_lowercase().as_str() {
-            "f32" => Some(ModelEncoding::F32),
-            "int8" => Some(ModelEncoding::Int8),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ModelEncoding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -265,69 +219,6 @@ impl ConcordePredictor {
         self.predict_features_batch(&mut xs, scratch)
     }
 
-    /// Quantizes the MLP to `i8` weights (what an [`ModelEncoding::Int8`]
-    /// server builds once at startup).
-    pub fn quantized(&self) -> QuantizedMlp {
-        self.mlp.quantize()
-    }
-
-    /// Int8-weight [`ConcordePredictor::predict_features`]: standardizes a
-    /// copy of `features` and runs the quantized forward pass. The reference
-    /// the fused store-direct path is pinned against.
-    pub fn predict_features_quantized(
-        &self,
-        qmlp: &QuantizedMlp,
-        features: &[f32],
-        scratch: &mut QuantScratch,
-    ) -> f64 {
-        let mut z = features.to_vec();
-        self.normalizer.apply(&mut z);
-        self.postprocess(f64::from(qmlp.predict(&z, scratch)))
-    }
-
-    /// Fused int8 hot path: assembles `arch`'s features in **encoded** form
-    /// ([`FeatureStore::features_quantized_into`]) and feeds the segments
-    /// straight into the quantized first layer — dequantization and
-    /// standardization happen in registers, so no f32 feature vector is
-    /// materialized. Bitwise-identical to
-    /// [`ConcordePredictor::predict_features_quantized`] over the
-    /// materialized vector.
-    pub fn predict_quantized(
-        &self,
-        qmlp: &QuantizedMlp,
-        store: &FeatureStore,
-        arch: &MicroArch,
-        buf: &mut QuantFeatureBuf,
-        scratch: &mut QuantScratch,
-    ) -> f64 {
-        store.features_quantized_into(arch, self.layout.variant, buf);
-        let raw = qmlp.predict_segments(
-            buf,
-            &self.normalizer.mean,
-            &self.normalizer.std,
-            self.normalizer.log1p,
-            scratch,
-        );
-        self.postprocess(f64::from(raw))
-    }
-
-    /// Batched [`ConcordePredictor::predict_quantized`] over `archs` — the
-    /// serving workers' int8-model group evaluation. With warm buffers the
-    /// only allocation is the returned vector.
-    pub fn predict_batch_quantized_with(
-        &self,
-        qmlp: &QuantizedMlp,
-        store: &FeatureStore,
-        archs: &[MicroArch],
-        buf: &mut QuantFeatureBuf,
-        scratch: &mut QuantScratch,
-    ) -> Vec<f64> {
-        archs
-            .iter()
-            .map(|arch| self.predict_quantized(qmlp, store, arch, buf, scratch))
-            .collect()
-    }
-
     /// Zero-allocation batched f32 prediction: the serving workers' group
     /// evaluation path.
     ///
@@ -367,46 +258,6 @@ impl ConcordePredictor {
         scratch
             .uniq_out
             .extend(scratch.raw.iter().map(|&o| self.postprocess(f64::from(o))));
-        out.clear();
-        out.extend(scratch.map.iter().map(|&u| scratch.uniq_out[u as usize]));
-    }
-
-    /// Zero-allocation batched fused int8 prediction — the int8-model
-    /// counterpart of [`ConcordePredictor::predict_batch_into`]: arch dedup,
-    /// planned ([`FeatureStore::plan_assembly`]) arena-coherent assembly of
-    /// each distinct row through the shared segment buffer, scatter back.
-    /// Bitwise identical to
-    /// [`ConcordePredictor::predict_batch_quantized_with`].
-    pub fn predict_batch_quantized_into(
-        &self,
-        qmlp: &QuantizedMlp,
-        store: &FeatureStore,
-        archs: &[MicroArch],
-        scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
-    ) {
-        dedup_archs(archs, &mut scratch.uniq, &mut scratch.map);
-        store.plan_assembly(&scratch.uniq, &mut scratch.asm);
-        scratch.uniq_out.clear();
-        scratch.uniq_out.resize(scratch.uniq.len(), 0.0);
-        for slot in scratch.asm.slots() {
-            let row = slot.row as usize;
-            store.features_quantized_into_at(
-                &scratch.uniq[row],
-                self.layout.variant,
-                &mut scratch.qbuf,
-                slot.di as usize,
-                slot.ii as usize,
-            );
-            let raw = qmlp.predict_segments(
-                &scratch.qbuf,
-                &self.normalizer.mean,
-                &self.normalizer.std,
-                self.normalizer.log1p,
-                &mut scratch.quant,
-            );
-            scratch.uniq_out[row] = self.postprocess(f64::from(raw));
-        }
         out.clear();
         out.extend(scratch.map.iter().map(|&u| scratch.uniq_out[u as usize]));
     }

@@ -287,11 +287,9 @@ fn standardize_rows_portable(xs: &mut [f32], mean: &[f32], std: &[f32], log_firs
     }
 }
 
-/// One element of [`standardize_rows`]: `(tx(v) − mean) / std`. The fused
-/// int8 path standardizes in registers through this same function, which
-/// is what keeps it bitwise equal to the materialized path.
+/// One element of [`standardize_rows`]: `(tx(v) − mean) / std`.
 #[inline(always)]
-pub fn standardize(v: f32, mean: f32, std: f32, log_first: bool) -> f32 {
+fn standardize(v: f32, mean: f32, std: f32, log_first: bool) -> f32 {
     let t = if log_first { log1p(v) } else { v };
     (t - mean) / std
 }

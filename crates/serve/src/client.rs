@@ -109,12 +109,6 @@ impl Client {
         crate::service::schema_of(&self.shared)
     }
 
-    /// Weight encoding the inference tier computes with
-    /// (`--model-encoding`).
-    pub fn model_encoding(&self) -> concorde_core::model::ModelEncoding {
-        self.shared.cfg.model_encoding
-    }
-
     /// Begins a graceful drain of the service this client feeds — the same
     /// switch the wire's `{"cmd": "drain"}` and the CLI's SIGTERM watcher
     /// flip. `serve_tcp` stops accepting, live connections answer their

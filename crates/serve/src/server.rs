@@ -577,20 +577,7 @@ fn handle_line(client: &Client, line: &str, writer: &SharedWriter) -> Value {
                     json!({ "ok": true, "draining": true })
                 }
                 Some("workloads") => workload_catalog(),
-                Some("schema") => {
-                    let mut schema =
-                        serde_json::to_value(&client.schema()).expect("serialize schema");
-                    // The feature schema describes the store layout; the
-                    // model-weight encoding is a serving property, injected
-                    // here so wire clients see both in one reply.
-                    if let Value::Object(ref mut obj) = schema {
-                        obj.insert(
-                            "model_encoding".to_string(),
-                            Value::String(client.model_encoding().name().to_string()),
-                        );
-                    }
-                    schema
-                }
+                Some("schema") => serde_json::to_value(&client.schema()).expect("serialize schema"),
                 other => json!({ "error": format!("unknown cmd {other:?}") }),
             }
         }

@@ -10,11 +10,10 @@
 //!
 //! - **Hit** → one batched MLP forward pass per group through a worker-owned
 //!   scratch arena; the response leaves in microseconds.
-//! - **Miss** (under [`MissPolicy::AsyncPool`], the default) → the group
-//!   *parks*: its jobs are attached to a single-flight in-flight entry for
-//!   the key and the build is queued to the dedicated precompute pool. The
-//!   worker moves straight on to the next batch, so **a cold region never
-//!   stalls the hit path**. Concurrent misses on the same key coalesce onto
+//! - **Miss** → the group *parks*: its jobs are attached to a single-flight
+//!   in-flight entry for the key and the build is queued to the dedicated
+//!   precompute pool. The worker moves straight on to the next batch, so
+//!   **a cold region never stalls the hit path**. Concurrent misses on the same key coalesce onto
 //!   the one in-flight build instead of each computing (or each blocking).
 //!   When the store lands in the cache, the parked jobs are re-enqueued at
 //!   the front of the request queue and complete as ordinary hits (reported
@@ -26,10 +25,6 @@
 //!   min-bound CPI computed directly from the trace (no store build),
 //!   flagged `{"approx": true, "reason": "shed"}`. The exact build still
 //!   runs, so follow-up queries get exact cache hits.
-//! - **Miss** (under [`MissPolicy::Inline`]) → the worker that took the
-//!   batch builds the store itself, blocking its batch — the pre-pool
-//!   behavior, kept as the baseline the `serve_cold_warm` bench compares
-//!   against.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,11 +38,10 @@ use concorde_core::cache::{
 };
 use concorde_core::features::FeatureStore;
 use concorde_core::minbound::MinBoundEstimator;
-use concorde_core::model::{ConcordePredictor, ModelEncoding, PredictScratch};
+use concorde_core::model::{ConcordePredictor, PredictScratch};
 use concorde_core::schema::{FeatureSchema, SCHEMA_VERSION};
 use concorde_core::sweep::{ReproProfile, SweepConfig};
 use concorde_cyclesim::MicroArch;
-use concorde_ml::QuantizedMlp;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
@@ -77,18 +71,6 @@ pub enum SweepScope {
     /// A minimal per-architecture sweep: cheap precompute, but the store is
     /// only reusable for queries that quantize onto the same grid.
     PerArch,
-}
-
-/// What a worker does with a batch group whose feature store is not cached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MissPolicy {
-    /// Park the group on a single-flight in-flight entry and hand the build
-    /// to the dedicated precompute pool; the worker keeps serving hits.
-    #[default]
-    AsyncPool,
-    /// Build the store inline on the worker that took the batch, blocking
-    /// it (the pre-pool behavior; the bench baseline).
-    Inline,
 }
 
 /// Per-class miss-wait SLOs (`--slo interactive=25,batch=500`, milliseconds).
@@ -167,10 +149,8 @@ pub struct ServeConfig {
     /// ([`FeatureStore::approx_bytes`] accounting).
     pub cache_bytes: usize,
     /// Dedicated precompute-pool threads for cache misses
-    /// (0 = half the cores, at least 1). Unused under [`MissPolicy::Inline`].
+    /// (0 = half the cores, at least 1).
     pub precompute_workers: usize,
-    /// What a worker does with a batch group whose store is not cached.
-    pub miss_policy: MissPolicy,
     /// Concurrent TCP connections accepted before new ones get a typed
     /// `busy` error (min 1).
     pub max_connections: usize,
@@ -190,19 +170,12 @@ pub struct ServeConfig {
     /// runs and lands in the cache for later requests. A per-request
     /// `deadline_ms` overrides this default. `None` (the default) disables
     /// shedding — misses park until their store lands, exactly the pre-SLO
-    /// behavior. Only meaningful under [`MissPolicy::AsyncPool`].
+    /// behavior.
     pub miss_slo: Option<Duration>,
     /// Per-class miss-wait SLOs (`--slo`): a middle resolution tier between
     /// a request's own `deadline_ms` and the server-wide
     /// [`ServeConfig::miss_slo`]. Empty by default (per-class QoS off).
     pub class_slo: ClassSlo,
-    /// Weight encoding the inference tier computes with
-    /// (`--model-encoding`). [`ModelEncoding::Int8`] quantizes the trained
-    /// model once at startup and evaluates groups through the fused
-    /// dequantize-assembly path ([`ConcordePredictor::predict_quantized`]);
-    /// prediction drift vs `f32` is bounded `< 5%` (same contract as int8
-    /// *store* encoding, and the two compose).
-    pub model_encoding: ModelEncoding,
     /// Idle-connection reap timeout (`--read-timeout-ms`): a TCP connection
     /// that sends no complete request line for this long is closed. `None`
     /// (the default) never reaps — connections may idle forever, the
@@ -240,13 +213,11 @@ impl Default for ServeConfig {
             cache_shards: 0,
             cache_bytes: 512 << 20,
             precompute_workers: 0,
-            miss_policy: MissPolicy::AsyncPool,
             max_connections: 256,
             sweep: SweepScope::PerArch,
             store_encoding: ArenaEncoding::F32,
             miss_slo: None,
             class_slo: ClassSlo::default(),
-            model_encoding: ModelEncoding::F32,
             read_timeout: None,
             max_line_bytes: 1 << 20,
             fault_plan: None,
@@ -277,8 +248,7 @@ impl ServeConfig {
         }
     }
 
-    /// Precompute-pool threads a service started with this config runs
-    /// (ignored under [`MissPolicy::Inline`]).
+    /// Precompute-pool threads a service started with this config runs.
     pub fn effective_precompute_workers(&self) -> usize {
         if self.precompute_workers > 0 {
             return self.precompute_workers;
@@ -626,10 +596,6 @@ pub struct ServiceStats {
     /// disabled unless a request carries its own `deadline_ms`.
     #[serde(default)]
     pub miss_slo_ms: Option<u64>,
-    /// Model-weight encoding the inference tier computes with
-    /// (`--model-encoding`).
-    #[serde(default)]
-    pub model_encoding: Option<ModelEncoding>,
     /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
     #[serde(default)]
     pub kernel: Option<String>,
@@ -811,9 +777,6 @@ impl Shard {
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     model: ConcordePredictor,
-    /// Int8 snapshot of `model`'s MLP, built once at startup when
-    /// `cfg.model_encoding` is [`ModelEncoding::Int8`]; `None` ⇒ serve f32.
-    qmlp: Option<QuantizedMlp>,
     profile: ReproProfile,
     /// Per-worker run-queue shards (see [`Shard`]).
     shards: Vec<Shard>,
@@ -845,9 +808,8 @@ pub(crate) struct Shared {
     /// Arrival stamp for queued builds (the FIFO tie-breaker).
     pre_seq: AtomicU64,
     pre_notify: Condvar,
-    /// Precompute-pool threads serving this engine (0 under
-    /// [`MissPolicy::Inline`]) — the divisor of the shed projected-wait
-    /// estimate.
+    /// Precompute-pool threads serving this engine — the divisor of the
+    /// shed projected-wait estimate.
     n_pool: usize,
     /// Observed per-build latency EWMA (µs, α = 1/4); 0 until the first
     /// build completes, which keeps [`shed_decision`] conservative before
@@ -927,14 +889,7 @@ impl PredictionService {
         // registers its prefix resolver whenever a service starts.
         concorde_riscv::install();
         let n_workers = cfg.effective_workers();
-        let n_pool = match cfg.miss_policy {
-            MissPolicy::AsyncPool => cfg.effective_precompute_workers(),
-            MissPolicy::Inline => 0,
-        };
-        let qmlp = match cfg.model_encoding {
-            ModelEncoding::Int8 => Some(model.quantized()),
-            ModelEncoding::F32 => None,
-        };
+        let n_pool = cfg.effective_precompute_workers();
         let quant_sweep = Arc::new(SweepConfig::quantized());
         let quant_sweep_hash = sweep_content_hash(&quant_sweep);
         // Chaos hooks: an explicit plan from the config wins; otherwise the
@@ -955,7 +910,6 @@ impl PredictionService {
             cache: ShardedStoreCache::new(cfg.effective_cache_shards(), cfg.cache_bytes),
             cfg,
             model,
-            qmlp,
             profile,
             shards: (0..n_workers).map(|_| Shard::new()).collect(),
             queue_len: AtomicUsize::new(0),
@@ -1354,14 +1308,10 @@ pub(crate) fn service_stats(shared: &Shared) -> ServiceStats {
             per_shard: shared.cache.shard_stats(),
         },
         workers: shared.cfg.effective_workers(),
-        precompute_workers: match shared.cfg.miss_policy {
-            MissPolicy::AsyncPool => shared.cfg.effective_precompute_workers(),
-            MissPolicy::Inline => 0,
-        },
+        precompute_workers: shared.cfg.effective_precompute_workers(),
         max_connections: shared.cfg.max_connections.max(1),
         store_encoding: Some(shared.cfg.store_encoding),
         miss_slo_ms: shared.cfg.miss_slo.map(|d| d.as_millis() as u64),
-        model_encoding: Some(shared.cfg.model_encoding),
         kernel: Some(concorde_ml::kernel_name().to_string()),
     }
 }
@@ -1389,17 +1339,13 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
     let mut w = PromWriter::new();
     w.gauge(
         "concorde_build_info",
-        "Constant 1; labels carry the served feature-schema version, arena/model encodings, and active MLP kernel.",
+        "Constant 1; labels carry the served feature-schema version, arena encoding, and active MLP kernel.",
         &[(
             vec![
                 ("schema_version", SCHEMA_VERSION.to_string()),
                 (
                     "encoding",
                     format!("{:?}", shared.cfg.store_encoding).to_lowercase(),
-                ),
-                (
-                    "model_encoding",
-                    shared.cfg.model_encoding.name().to_string(),
                 ),
                 ("kernel", concorde_ml::kernel_name().to_string()),
             ],
@@ -1715,9 +1661,9 @@ fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
 }
 
 /// Per-worker reusable buffers: batch/group staging plus the full
-/// prediction scratch ([`PredictScratch`]: MLP activations, quantized
-/// feature buffer, assembly plan, dedup tables). Warm after the first
-/// batch, so steady-state serving allocates nothing per request.
+/// prediction scratch ([`PredictScratch`]: MLP activations, assembly plan,
+/// dedup tables). Warm after the first batch, so steady-state serving
+/// allocates nothing per request.
 #[derive(Default)]
 struct WorkerScratch {
     predict: PredictScratch,
@@ -2021,72 +1967,23 @@ fn note_group_hit(shared: &Shared, jobs: &[(Job, MicroArch)]) {
 }
 
 fn run_group(shared: &Shared, group: &mut Group, scratch: &mut WorkerScratch) {
-    if matches!(shared.cfg.miss_policy, MissPolicy::AsyncPool) {
-        match shared.cache.get(&group.key) {
-            Some(store) => {
-                note_group_hit(shared, &group.jobs);
-                eval_group(shared, &store, &group.jobs, scratch, true);
-                group.jobs.clear();
-            }
-            // Miss: park the whole group on the key's single-flight entry
-            // and move on — this worker never blocks on the build. The cold
-            // path owns its allocations (key clone is inline, the job list
-            // moves into the registry).
-            None => {
-                let key = group.key.clone();
-                let sweep = Arc::clone(&group.sweep);
-                let jobs = std::mem::take(&mut group.jobs);
-                park_group(shared, key, sweep, jobs, scratch);
-            }
+    match shared.cache.get(&group.key) {
+        Some(store) => {
+            note_group_hit(shared, &group.jobs);
+            eval_group(shared, &store, &group.jobs, scratch);
+            group.jobs.clear();
         }
-        return;
-    }
-    let key = &group.key;
-    let sweep = &group.sweep;
-    let jobs = &group.jobs;
-
-    // Inline policy: fetch-or-build on this worker (the baseline path).
-    // A panic anywhere in the analytic stage must not kill the worker
-    // thread (a poisoned request could otherwise shrink the pool one
-    // request at a time until the service wedges): isolate the build,
-    // answer the group's requests with an error, and keep serving.
-    // Evaluation itself is guarded inside `eval_group`.
-    let (store, was_cached) = match shared.cache.get(key) {
-        Some(s) => {
-            shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            (s, true)
-        }
+        // Miss: park the whole group on the key's single-flight entry and
+        // move on — this worker never blocks on the build. The cold path
+        // owns its allocations (key clone is inline, the job list moves
+        // into the registry).
         None => {
-            shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Arc::new(precompute_store(shared, key, sweep))
-            }));
-            match outcome {
-                Ok(store) => {
-                    shared
-                        .metrics
-                        .store_build
-                        .observe(t0.elapsed().as_secs_f64());
-                    shared.metrics.precomputes.fetch_add(1, Ordering::Relaxed);
-                    shared.cache.insert(key.clone(), Arc::clone(&store));
-                    (store, false)
-                }
-                Err(panic) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    let msg = panic_message(panic);
-                    for (job, _) in jobs {
-                        let us = job.enqueued.elapsed().as_micros() as u64;
-                        respond(shared, job, PredictResponse::internal(job.req.id, &msg, us));
-                    }
-                    group.jobs.clear();
-                    return;
-                }
-            }
+            let key = group.key.clone();
+            let sweep = Arc::clone(&group.sweep);
+            let jobs = std::mem::take(&mut group.jobs);
+            park_group(shared, key, sweep, jobs, scratch);
         }
-    };
-    eval_group(shared, &store, jobs, scratch, was_cached);
-    group.jobs.clear();
+    }
 }
 
 /// One batched forward pass for a group whose store is in hand, with the
@@ -2096,7 +1993,6 @@ fn eval_group(
     store: &Arc<FeatureStore>,
     jobs: &[(Job, MicroArch)],
     scratch: &mut WorkerScratch,
-    was_cached: bool,
 ) {
     let archs = &mut scratch.archs;
     archs.clear();
@@ -2105,17 +2001,7 @@ fn eval_group(
     let outs = &mut scratch.outs;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shared.faults.on_eval();
-        match &shared.qmlp {
-            // Int8 serving: fused dequantize-assembly — the store's encoded
-            // blocks feed the quantized first layer directly, never
-            // materializing the f32 feature vector. Both paths dedup
-            // repeated architectures and walk the arena in grid order
-            // (batched assembly), writing into the reused output buffer.
-            Some(qmlp) => shared
-                .model
-                .predict_batch_quantized_into(qmlp, store, archs, predict, outs),
-            None => shared.model.predict_batch_into(store, archs, predict, outs),
-        }
+        shared.model.predict_batch_into(store, archs, predict, outs);
     }));
     match outcome {
         Ok(()) => {
@@ -2129,7 +2015,7 @@ fn eval_group(
                     // A job that parked on this store's build sees a "hit"
                     // only because its own miss triggered the build — report
                     // it as the precompute it was.
-                    PredictResponse::ok(job.req.id, cpi, was_cached && !job.parked, us)
+                    PredictResponse::ok(job.req.id, cpi, !job.parked, us)
                 };
                 respond(shared, job, resp);
             }
@@ -2378,7 +2264,7 @@ fn park_group(
     if let Some(store) = shared.cache.get(&key) {
         drop(inflight);
         note_group_hit(shared, &jobs);
-        eval_group(shared, &store, &jobs, scratch, true);
+        eval_group(shared, &store, &jobs, scratch);
         return;
     }
     shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -2656,7 +2542,6 @@ mod tests {
         assert!(cfg.max_batch > 1);
         assert!(cfg.cache_bytes > 0);
         assert!(cfg.max_connections >= 1);
-        assert_eq!(cfg.miss_policy, MissPolicy::AsyncPool);
         assert_eq!(cfg.miss_slo, None, "shedding must default off");
     }
 

@@ -43,10 +43,9 @@ fn usage_text() -> &'static str {
          concorde serve     [--addr HOST:PORT] [--model PATH] [--save-model PATH]\n             \
          [--profile quick|default] [--train-samples N] [--workers N]\n             \
          [--max-batch N] [--deadline-us N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
-         [--precompute-workers N] [--inline-miss] [--max-conns N] [--miss-slo-ms N]\n             \
+         [--precompute-workers N] [--max-conns N] [--miss-slo-ms N]\n             \
          [--slo CLASS=MS,…] [--metrics-addr HOST:PORT]\n             \
-         [--sweep arch|quantized] [--encoding f32|f16|int8]\n             \
-         [--model-encoding f32|int8] [--preload FILE]…\n             \
+         [--sweep arch|quantized] [--encoding f32|f16|int8] [--preload FILE]…\n             \
          [--read-timeout-ms N] [--max-line-bytes N[k|m|g]] [--dynamic-workloads DIR]\n  \
          concorde predict   <workload> [--addr HOST:PORT] [--arch n1|big] [--set param=value …]\n             \
          [--trace N] [--start N] [--count N] [--deadline-ms N]\n             \
@@ -210,6 +209,14 @@ fn serve_config(args: &[String]) -> ServeConfig {
              `concorde inspect` approx_bytes or `{\"cmd\": \"stats\"}`",
         );
     }
+    for flag in ["--model-encoding", "--inline-miss"] {
+        if args.iter().any(|a| a == flag) {
+            bail(&format!(
+                "{flag} was removed: the service always runs the f32 model and \
+                 builds cache misses on the precompute pool"
+            ));
+        }
+    }
     let sweep = match flag_value(args, "--sweep") {
         None | Some("arch") => SweepScope::PerArch,
         Some("quantized") => SweepScope::Quantized,
@@ -228,11 +235,6 @@ fn serve_config(args: &[String]) -> ServeConfig {
             .map(|v| parse_bytes("--cache-bytes", v))
             .unwrap_or(defaults.cache_bytes),
         precompute_workers: parse_num(args, "--precompute-workers", 0usize),
-        miss_policy: if args.iter().any(|a| a == "--inline-miss") {
-            MissPolicy::Inline
-        } else {
-            MissPolicy::AsyncPool
-        },
         max_connections: parse_num(args, "--max-conns", defaults.max_connections),
         sweep,
         store_encoding: parse_encoding(args),
@@ -243,33 +245,11 @@ fn serve_config(args: &[String]) -> ServeConfig {
             if ms == 0 {
                 bail("--miss-slo-ms must be > 0 (omit the flag to disable shedding)");
             }
-            if args.iter().any(|a| a == "--inline-miss") {
-                bail(
-                    "--miss-slo-ms requires the async precompute pool; \
-                     --inline-miss builds misses on the batch worker and never sheds",
-                );
-            }
             Duration::from_millis(ms)
         }),
         class_slo: flag_value(args, "--slo")
-            .map(|v| {
-                if args.iter().any(|a| a == "--inline-miss") {
-                    bail(
-                        "--slo requires the async precompute pool; \
-                         --inline-miss builds misses on the batch worker and never sheds",
-                    );
-                }
-                ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}")))
-            })
+            .map(|v| ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}"))))
             .unwrap_or_default(),
-        model_encoding: match flag_value(args, "--model-encoding") {
-            None => defaults.model_encoding,
-            Some(v) => ModelEncoding::parse(v).unwrap_or_else(|| {
-                bail(&format!(
-                    "unknown --model-encoding `{v}` (expected f32 or int8)"
-                ))
-            }),
-        },
         read_timeout: flag_value(args, "--read-timeout-ms").map(|v| {
             let ms: u64 = v
                 .parse()
@@ -775,9 +755,8 @@ fn main() {
                 srv
             });
             eprintln!(
-                "[serve] inference: {} kernel, {} weights",
-                concorde_suite::ml::kernel_name(),
-                service.config().model_encoding,
+                "[serve] inference: {} kernel",
+                concorde_suite::ml::kernel_name()
             );
             eprintln!(
                 "[serve] listening on {addr} ({} workers, {} precompute threads); \

@@ -1,14 +1,11 @@
 //! Vector-kernel dispatch coverage: scalar↔SIMD max-ULP equivalence over
-//! random layer shapes and ragged batches (proptest), the int8-weight CPI
-//! drift pin mirroring the arena-quantization contract, bitwise equality of
-//! the fused dequantize-assembly path against the materialized f32 feature
-//! vector, and the normalizer contract (bitwise across kernels, ≤ 1e-5 CPI
-//! drift against a libm `ln_1p` reference).
+//! random layer shapes and ragged batches (proptest), and the normalizer
+//! contract (bitwise across kernels, ≤ 1e-5 CPI drift against a libm
+//! `ln_1p` reference).
 
 use concorde_suite::ml::kernel::log1p;
 use concorde_suite::ml::{
     active_kernel, detected_kernel, forced_scalar, kernel_name, ulp_distance, KernelKind,
-    QuantFeatureBuf, QuantScratch,
 };
 use concorde_suite::prelude::*;
 use proptest::prelude::*;
@@ -69,37 +66,6 @@ proptest! {
             );
         }
     }
-
-    /// Int8-weight inference tracks the f32 model within the quantization
-    /// drift budget for random shapes and inputs (the micro-level version
-    /// of the CPI pin below).
-    #[test]
-    fn int8_mlp_tracks_f32_for_random_shapes(
-        seed in any::<u64>(),
-        n in 1usize..13,
-        din in 1usize..24,
-        dh in 2usize..16,
-    ) {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mlp = Mlp::new(&[din, dh, 1], &mut rng);
-        let qmlp = mlp.quantize();
-        let mut scratch = MlpScratch::default();
-        let mut qscratch = QuantScratch::default();
-        let xs: Vec<f32> = (0..n * din)
-            .map(|i| ((i as f32) * 0.53 + (seed % 11) as f32).cos() * 2.0)
-            .collect();
-        let mut yf = vec![0.0f32; n];
-        mlp.predict_batch_into(&xs, &mut yf, &mut scratch);
-        let mut yq = vec![0.0f32; n];
-        qmlp.predict_batch_into(&xs, &mut yq, &mut qscratch);
-        for (s, (f, q)) in yf.iter().zip(&yq).enumerate() {
-            prop_assert!(
-                (f - q).abs() <= 0.05 * f.abs() + 0.05,
-                "row {}: f32 {} vs int8 {}",
-                s, f, q
-            );
-        }
-    }
 }
 
 #[test]
@@ -131,9 +97,7 @@ fn detected_kernel_matches_arch_features() {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end pins on a real feature store + trained model, mirroring
-// tests/quantization.rs so the model-weight contract reads like the
-// arena-encoding contract it extends.
+// End-to-end pins on a real feature store + trained model.
 
 fn quick_profile() -> ReproProfile {
     ReproProfile {
@@ -165,118 +129,6 @@ fn tiny_model(profile: &ReproProfile) -> ConcordePredictor {
         threads: 0,
     });
     train_model(&data, &p, &TrainOptions::default())
-}
-
-/// The int8-weight drift pin: CPI from the quantized model stays within 5%
-/// of the f32 reference — the same budget the int8 *arena* encoding gets in
-/// `tests/quantization.rs`, and independent of the kernel in use.
-#[test]
-fn int8_model_cpi_drift_below_5pct() {
-    let profile = quick_profile();
-    let model = tiny_model(&profile);
-    let qmlp = model.quantized();
-    let (store, n1, big) = reference_store();
-    let mut off = n1;
-    off.rob_size = 200;
-    off.lq_size = 40;
-    let mut buf = QuantFeatureBuf::default();
-    let mut scratch = QuantScratch::default();
-    for arch in [n1, big, off] {
-        let reference = model.predict(&store, &arch);
-        assert!(reference.is_finite() && reference > 0.0);
-        let q = model.predict_quantized(&qmlp, &store, &arch, &mut buf, &mut scratch);
-        let delta = (q - reference).abs() / reference;
-        assert!(
-            delta <= 0.05,
-            "int8-model CPI drift {:.4}% exceeds 5% (f32 CPI {reference:.4} → int8 {q:.4})",
-            delta * 100.0
-        );
-    }
-}
-
-/// Composition: int8 *store* feeding the int8 *model* through the fused
-/// path drifts from the same store under the f32 model by the model-quant
-/// budget alone (the store error is common to both sides).
-#[test]
-fn int8_store_int8_model_compose() {
-    let profile = quick_profile();
-    let model = tiny_model(&profile);
-    let qmlp = model.quantized();
-    let (store, n1, big) = reference_store();
-    let int8_store = store.reencoded(ArenaEncoding::Int8);
-    let mut buf = QuantFeatureBuf::default();
-    let mut scratch = QuantScratch::default();
-    for arch in [n1, big] {
-        let reference = model.predict(&int8_store, &arch);
-        let fused = model.predict_quantized(&qmlp, &int8_store, &arch, &mut buf, &mut scratch);
-        let delta = (fused - reference).abs() / reference;
-        assert!(
-            delta <= 0.05,
-            "fused int8×int8 drift {:.4}% vs f32 model on the same store",
-            delta * 100.0
-        );
-    }
-}
-
-/// The fused assembly's segments dequantize to exactly the f32 vector
-/// `features_into` materializes — for every arena encoding, variant, and a
-/// grid-off architecture. Bitwise, not approximate: the fused path reuses
-/// `write_entry`'s arithmetic instead of re-deriving it.
-#[test]
-fn quantized_segments_materialize_bitwise() {
-    let (store, n1, big) = reference_store();
-    let mut off = n1;
-    off.rob_size = 200;
-    off.lq_size = 40;
-    let mut buf = QuantFeatureBuf::default();
-    for enc in ArenaEncoding::ALL {
-        let store = store.reencoded(enc);
-        for arch in [n1, big, off] {
-            for v in [
-                FeatureVariant::Base,
-                FeatureVariant::BaseBranch,
-                FeatureVariant::Full,
-            ] {
-                let reference = store.features(&arch, v);
-                store.features_quantized_into(&arch, v, &mut buf);
-                assert_eq!(buf.len(), reference.len());
-                let materialized = buf.materialize();
-                for (i, (m, r)) in materialized.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        m.to_bits(),
-                        r.to_bits(),
-                        "feature {i} of {v:?} under {enc}: fused {m} vs materialized {r}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Fused prediction (segments straight into the quantized first layer)
-/// equals quantized prediction over the materialized vector bitwise — the
-/// fusion changes where dequantization happens, not what is computed.
-#[test]
-fn fused_prediction_matches_materialized_bitwise() {
-    let profile = quick_profile();
-    let model = tiny_model(&profile);
-    let qmlp = model.quantized();
-    let (store, n1, big) = reference_store();
-    let mut buf = QuantFeatureBuf::default();
-    let mut scratch = QuantScratch::default();
-    for enc in [ArenaEncoding::F32, ArenaEncoding::Int8] {
-        let store = store.reencoded(enc);
-        for arch in [n1, big] {
-            let fused = model.predict_quantized(&qmlp, &store, &arch, &mut buf, &mut scratch);
-            let feats = store.features(&arch, model.layout.variant);
-            let materialized = model.predict_features_quantized(&qmlp, &feats, &mut scratch);
-            assert_eq!(
-                fused.to_bits(),
-                materialized.to_bits(),
-                "under {enc}/{arch:?}: fused {fused} vs materialized {materialized}"
-            );
-        }
-    }
 }
 
 /// Raw feature rows for a spread of architectures: the two grid points,
