@@ -36,12 +36,31 @@ impl Encoding {
     ///
     /// Empty inputs encode as all zeros.
     pub fn encode(&self, samples: &[f64]) -> Vec<f32> {
-        let d = self.dim();
-        if samples.is_empty() {
-            return vec![0.0; d];
-        }
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+        self.encode_sorted(&sorted)
+    }
+
+    /// Encodes an integer-valued series (e.g. window counts, latencies).
+    ///
+    /// Bitwise equal to `encode` over the samples widened to `f64`: the
+    /// integers are sorted first, which is cheaper, and since
+    /// `f64::from(u32)` is exact and monotone and equal integers widen to
+    /// identical bits, the widened sorted sequence is exactly the one
+    /// `encode` sorts into.
+    pub fn encode_u32(&self, samples: &[u32]) -> Vec<f32> {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let sorted: Vec<f64> = sorted.into_iter().map(f64::from).collect();
+        self.encode_sorted(&sorted)
+    }
+
+    /// The encoding of an ascending sample sequence.
+    fn encode_sorted(&self, sorted: &[f64]) -> Vec<f32> {
+        let d = self.dim();
+        if sorted.is_empty() {
+            return vec![0.0; d];
+        }
         let n = sorted.len();
         let mut out = Vec::with_capacity(d);
 
@@ -73,12 +92,6 @@ impl Encoding {
         out.push((sorted.iter().sum::<f64>() / n as f64) as f32);
         debug_assert_eq!(out.len(), d);
         out
-    }
-
-    /// Encodes an integer-valued series (e.g. window counts, latencies).
-    pub fn encode_u32(&self, samples: &[u32]) -> Vec<f32> {
-        let f: Vec<f64> = samples.iter().map(|&x| f64::from(x)).collect();
-        self.encode(&f)
     }
 }
 

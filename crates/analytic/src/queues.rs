@@ -30,7 +30,7 @@ pub fn queue_model(info: &TraceInfo, data: &DataLatencies, size: u32, kind: Queu
     assert!(size >= 1, "queue size must be at least 1");
     let n = info.len();
     let q = size as usize;
-    let mut mem = MemoryModel::new(data);
+    let mut mem = MemoryModel::new(info, data);
     // Ring buffer of the last `q` queue-op commit cycles.
     let mut ring: Vec<u64> = vec![0; q];
     let mut qcount = 0usize;
@@ -45,7 +45,7 @@ pub fn queue_model(info: &TraceInfo, data: &DataLatencies, size: u32, kind: Queu
         if is_kind {
             let a = if qcount >= q { ring[qcount % q] } else { 0 };
             let s = a;
-            let f = mem.resp_cycle(s, i, info.data_lines[i], kind == QueueKind::Load);
+            let f = mem.resp_cycle(s, i, kind == QueueKind::Load);
             let c = f.max(last_c);
             ring[qcount % q] = c;
             qcount += 1;

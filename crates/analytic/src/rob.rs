@@ -15,12 +15,18 @@
 //! footnote 3). This module realizes that with a discrete-event loop: a ready
 //! heap keyed by `s_i` pops instructions in global start order — a property
 //! the loop `debug_assert`s.
+//!
+//! Everything that does not depend on the ROB size or the memory
+//! configuration comes precomputed on [`TraceInfo`]: the producer → consumer
+//! graph as a CSR with per-instruction dependency counts, and the dense
+//! load-line ids [`MemoryModel`] indexes. A run allocates only its own
+//! per-instruction cycle arrays.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::memory_model::MemoryModel;
-use crate::trace_analysis::{DataLatencies, TraceInfo, NO_DEP};
+use crate::trace_analysis::{DataLatencies, TraceInfo};
 
 /// Output of one ROB-model run.
 #[derive(Debug, Clone)]
@@ -66,28 +72,12 @@ pub fn rob_model(info: &TraceInfo, data: &DataLatencies, rob_size: u32) -> RobRe
     let mut f = vec![0u64; n];
     let mut c = vec![0u64; n];
     let mut f_known = vec![false; n];
-
-    // Dependency adjacency (producer -> consumers) and pending-dep counters.
-    let mut dep_remaining = vec![0u16; n];
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)] // i indexes parallel dependency arrays
-    for i in 0..n {
-        for &d in &info.reg_deps[i] {
-            if d != NO_DEP {
-                dependents[d as usize].push(i as u32);
-                dep_remaining[i] += 1;
-            }
-        }
-        let md = info.mem_dep[i];
-        if md != NO_DEP {
-            dependents[md as usize].push(i as u32);
-            dep_remaining[i] += 1;
-        }
-    }
+    // Pending-dependency countdown over the region's shared consumer graph.
+    let mut dep_remaining = info.dep_count.clone();
 
     let mut max_dep_f = vec![0u64; n];
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut mem = MemoryModel::new(data);
+    let mut mem = MemoryModel::new(info, data);
     let mut entered = 0usize;
     let mut frontier = 0usize; // instructions with c computed
     let mut executed = 0usize;
@@ -118,11 +108,11 @@ pub fn rob_model(info: &TraceInfo, data: &DataLatencies, rob_size: u32) -> RobRe
             );
             last_pop = si;
         }
-        f[i] = mem.resp_cycle(si, i, info.data_lines[i], info.ops[i].is_load());
+        f[i] = mem.resp_cycle(si, i, info.ops[i].is_load());
         f_known[i] = true;
         executed += 1;
 
-        for &dr in &dependents[i] {
+        for &dr in info.consumers_of(i) {
             let d = dr as usize;
             max_dep_f[d] = max_dep_f[d].max(f[i]);
             dep_remaining[d] -= 1;

@@ -6,8 +6,9 @@
 //! The analysis splits into four products so each can be computed for exactly
 //! the configurations it depends on (the paper's precompute discipline):
 //!
-//! * [`TraceInfo`] — microarchitecture independent (dependencies, op classes,
-//!   cache lines, branch types, ISBs);
+//! * [`TraceInfo`] — microarchitecture independent (dependencies and their
+//!   consumer graph, op classes, load-line ids, cache lines, branch types,
+//!   ISBs);
 //! * [`DataLatencies`] — per D-side memory configuration (L1d × L2 × prefetch);
 //! * [`InstLatencies`] — per I-side memory configuration (L1i × L2);
 //! * [`BranchInfo`] — one TAGE + BTB simulation, from which the misprediction
@@ -31,8 +32,25 @@ pub struct TraceInfo {
     pub reg_deps: Vec<[u32; 2]>,
     /// Memory dependency for loads (producer store index; `NO_DEP` = none).
     pub mem_dep: Vec<u32>,
-    /// Data cache line per memory instruction (0 otherwise).
-    pub data_lines: Vec<u64>,
+    /// CSR offsets into [`TraceInfo::consumers`]: the consumers of
+    /// instruction `i` are `consumers[consumer_start[i]..consumer_start[i + 1]]`
+    /// (`n + 1` entries).
+    pub consumer_start: Vec<u32>,
+    /// Flat producer → consumer edges (register and memory dependencies),
+    /// grouped by producer, consumers in program order. An instruction that
+    /// names the same producer twice appears twice.
+    pub consumers: Vec<u32>,
+    /// Number of dependency edges into each instruction (at most 3).
+    pub dep_count: Vec<u8>,
+    /// Dense id of each load's data cache line, numbered in order of first
+    /// touch (`NO_DEP` for non-loads).
+    pub load_line: Vec<u32>,
+    /// CSR offsets into [`TraceInfo::line_loads`], one entry per load line
+    /// plus one.
+    pub line_load_start: Vec<u32>,
+    /// Load indices grouped by line id, in program order within each line
+    /// (Algorithm 1's `exec_times[cache_line]`, as instruction indices).
+    pub line_loads: Vec<u32>,
     /// Instruction cache line per instruction.
     pub icache_lines: Vec<u64>,
     /// Branch kind per instruction (`None` for non-branches).
@@ -56,6 +74,44 @@ impl TraceInfo {
     pub fn count(&self, op: OpClass) -> usize {
         self.ops.iter().filter(|o| **o == op).count()
     }
+
+    /// Number of distinct data cache lines touched by loads.
+    pub fn load_lines(&self) -> usize {
+        self.line_load_start.len() - 1
+    }
+
+    /// The instructions that depend on instruction `i`.
+    #[inline]
+    pub fn consumers_of(&self, i: usize) -> &[u32] {
+        &self.consumers[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
+    }
+
+    /// The loads to line id `line`, in program order.
+    #[inline]
+    pub fn loads_on_line(&self, line: u32) -> &[u32] {
+        let l = line as usize;
+        &self.line_loads[self.line_load_start[l] as usize..self.line_load_start[l + 1] as usize]
+    }
+}
+
+/// Groups `(key, value)` pairs into a CSR over keys `0..keys`: returns the
+/// `keys + 1` offsets and the values, in input order within each key.
+fn csr(keys: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; keys + 1];
+    for (k, _) in pairs.clone() {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut values = vec![0u32; start[keys] as usize];
+    for (k, v) in pairs {
+        let slot = &mut next[k as usize];
+        values[*slot as usize] = v;
+        *slot += 1;
+    }
+    (start, values)
 }
 
 /// Builds the microarchitecture-independent trace information.
@@ -63,15 +119,20 @@ impl TraceInfo {
 /// Dependencies follow the same rules the cycle-level simulator applies at
 /// rename: register dependencies via last-writer tracking, and for loads a
 /// memory dependency on the most recent older store to the same address (the
-/// store-forwarding edge).
+/// store-forwarding edge). It also builds the per-region structures every
+/// ROB/queue model run shares: the producer → consumer graph and the dense
+/// load-line ids with their per-line load lists.
 pub fn analyze_static(instrs: &[Instruction]) -> TraceInfo {
     let n = instrs.len();
     let mut reg_deps = Vec::with_capacity(n);
     let mut mem_dep = vec![NO_DEP; n];
-    let mut data_lines = Vec::with_capacity(n);
     let mut icache_lines = Vec::with_capacity(n);
     let mut branch_kinds = Vec::with_capacity(n);
     let mut is_isb = Vec::with_capacity(n);
+
+    let mut dep_count = Vec::with_capacity(n);
+    let mut load_line = vec![NO_DEP; n];
+    let mut line_ids: HashMap<u64, u32> = HashMap::new();
 
     let mut last_writer = [NO_DEP; concorde_trace::NUM_REGS];
     let mut last_store_addr: HashMap<u64, u32> = HashMap::new();
@@ -86,18 +147,18 @@ pub fn analyze_static(instrs: &[Instruction]) -> TraceInfo {
             if let Some(&s) = last_store_addr.get(&instr.mem_addr) {
                 mem_dep[i] = s;
             }
+            let next = line_ids.len() as u32;
+            load_line[i] = *line_ids.entry(instr.data_line()).or_insert(next);
         }
+        let edges =
+            deps.iter().filter(|&&d| d != NO_DEP).count() + usize::from(mem_dep[i] != NO_DEP);
+        dep_count.push(edges as u8);
         if instr.op.is_store() {
             last_store_addr.insert(instr.mem_addr, i as u32);
         }
         if let Some(d) = instr.dst {
             last_writer[d as usize] = i as u32;
         }
-        data_lines.push(if instr.op.is_mem() {
-            instr.data_line()
-        } else {
-            0
-        });
         icache_lines.push(instr.icache_line());
         branch_kinds.push(match instr.op {
             OpClass::Branch(k) => Some(k),
@@ -106,11 +167,31 @@ pub fn analyze_static(instrs: &[Instruction]) -> TraceInfo {
         is_isb.push(instr.op == OpClass::Isb);
     }
 
+    // Producer -> consumer edges, pushed in the order each consumer names
+    // its producers (register slots, then the memory dependency).
+    let edges = (0..n).flat_map(|i| {
+        let [r0, r1] = reg_deps[i];
+        [r0, r1, mem_dep[i]]
+            .into_iter()
+            .filter(|&d| d != NO_DEP)
+            .map(move |d| (d, i as u32))
+    });
+    let (consumer_start, consumers) = csr(n, edges);
+    let loads = (0..n as u32)
+        .filter(|&i| load_line[i as usize] != NO_DEP)
+        .map(|i| (load_line[i as usize], i));
+    let (line_load_start, line_loads) = csr(line_ids.len(), loads);
+
     TraceInfo {
         ops: instrs.iter().map(|i| i.op).collect(),
         reg_deps,
         mem_dep,
-        data_lines,
+        consumer_start,
+        consumers,
+        dep_count,
+        load_line,
+        line_load_start,
+        line_loads,
         icache_lines,
         branch_kinds,
         is_isb,
@@ -118,15 +199,13 @@ pub fn analyze_static(instrs: &[Instruction]) -> TraceInfo {
 }
 
 /// Per-instruction execution-latency estimates for one D-side memory
-/// configuration, plus the per-line load-latency queues Algorithm 1 consumes.
+/// configuration. Algorithm 1's per-line latency queues are these values
+/// read through [`TraceInfo::line_loads`].
 #[derive(Debug, Clone)]
 pub struct DataLatencies {
     /// Estimated execution latency per instruction (loads: from the in-order
     /// cache simulation level; others: fixed opcode latency).
     pub exec_latency: Vec<u32>,
-    /// For each data cache line, the latencies of the loads touching it, in
-    /// program order (Algorithm 1's `exec_times[cache_line]`).
-    pub line_load_latencies: HashMap<u64, Vec<u32>>,
 }
 
 /// Runs the in-order D-cache simulation (with `warmup` accesses first) and
@@ -147,16 +226,10 @@ pub fn analyze_data(
         }
     }
     let mut exec_latency = Vec::with_capacity(instrs.len());
-    let mut line_load_latencies: HashMap<u64, Vec<u32>> = HashMap::new();
     for i in instrs {
         let l = if i.op.is_load() {
             let level = h.access_data(i.mem_addr, false, Some(i.pc));
-            let l = lat.latency(level);
-            line_load_latencies
-                .entry(i.data_line())
-                .or_default()
-                .push(l);
-            l
+            lat.latency(level)
         } else if i.op.is_store() {
             h.access_data(i.mem_addr, true, None);
             i.op.base_latency()
@@ -165,10 +238,7 @@ pub fn analyze_data(
         };
         exec_latency.push(l);
     }
-    DataLatencies {
-        exec_latency,
-        line_load_latencies,
-    }
+    DataLatencies { exec_latency }
 }
 
 /// Per-instruction I-cache latency estimates for one I-side configuration.
@@ -360,9 +430,75 @@ mod tests {
                 assert_eq!(*lat, i.op.base_latency());
             }
         }
-        // Line lists sum to the number of loads.
-        let listed: usize = d.line_load_latencies.values().map(Vec::len).sum();
-        assert_eq!(listed, t.iter().filter(|i| i.op.is_load()).count());
+    }
+
+    #[test]
+    fn load_lines_form_a_program_order_csr() {
+        let t = trace("S1", 10_000);
+        let info = analyze_static(&t);
+        let loads = t.iter().filter(|i| i.op.is_load()).count();
+        assert_eq!(info.line_loads.len(), loads);
+        assert_eq!(*info.line_load_start.last().unwrap() as usize, loads);
+        // Every load appears exactly once, under its own line, in program
+        // order; distinct line ids name distinct lines.
+        let mut seen = vec![false; t.len()];
+        let mut line_of_id = Vec::new();
+        for id in 0..info.load_lines() as u32 {
+            let on_line = info.loads_on_line(id);
+            assert!(!on_line.is_empty(), "line {id} has no loads");
+            assert!(on_line.windows(2).all(|w| w[0] < w[1]), "line {id} order");
+            for &i in on_line {
+                let i = i as usize;
+                assert!(t[i].op.is_load());
+                assert!(!seen[i], "load {i} listed twice");
+                seen[i] = true;
+                assert_eq!(info.load_line[i], id);
+            }
+            line_of_id.push(t[on_line[0] as usize].data_line());
+            assert!(on_line
+                .iter()
+                .all(|&i| t[i as usize].data_line() == line_of_id[id as usize]));
+        }
+        line_of_id.sort_unstable();
+        line_of_id.dedup();
+        assert_eq!(line_of_id.len(), info.load_lines());
+        for (i, instr) in t.iter().enumerate() {
+            assert_eq!(seen[i], instr.op.is_load(), "at {i}");
+            if !instr.op.is_load() {
+                assert_eq!(info.load_line[i], NO_DEP);
+            }
+        }
+    }
+
+    #[test]
+    fn consumer_graph_inverts_the_dependencies() {
+        let t = trace("P4", 8_000);
+        let info = analyze_static(&t);
+        assert_eq!(info.consumer_start.len(), t.len() + 1);
+        let mut into = vec![0u8; t.len()];
+        for p in 0..t.len() {
+            for &c in info.consumers_of(p) {
+                let c = c as usize;
+                assert!(c > p, "consumers are younger");
+                let named = info.reg_deps[c]
+                    .iter()
+                    .chain([&info.mem_dep[c]])
+                    .filter(|&&d| d as usize == p)
+                    .count();
+                assert!(named > 0, "{c} does not depend on {p}");
+                into[c] += 1;
+            }
+            assert!(info.consumers_of(p).windows(2).all(|w| w[0] <= w[1]));
+        }
+        assert_eq!(into, info.dep_count);
+        for (i, &k) in info.dep_count.iter().enumerate() {
+            let named = info.reg_deps[i]
+                .iter()
+                .chain([&info.mem_dep[i]])
+                .filter(|&&d| d != NO_DEP)
+                .count();
+            assert_eq!(usize::from(k), named, "at {i}");
+        }
     }
 
     #[test]

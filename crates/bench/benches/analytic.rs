@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use concorde_analytic::prelude::*;
 use concorde_branch::{BranchUnit, PredictorKind};
 use concorde_cache::{simulate_inorder, MemConfig};
+use concorde_core::ReproProfile;
 use concorde_trace::{by_id, generate_region};
 
 fn bench_analytic(c: &mut Criterion) {
@@ -35,6 +36,22 @@ fn bench_analytic(c: &mut Criterion) {
     }
     g.finish();
 
+    // What one per-arch store build pays for its ROB curve: the full sweep
+    // over a quick-profile region (4096 warm-up + 4096 instructions).
+    let quick = ReproProfile::quick();
+    let full = generate_region(&spec, 0, 0, quick.warmup_len + quick.region_len).instrs;
+    let (warmup, region) = full.split_at(quick.warmup_len);
+    let quick_info = analyze_static(region);
+    let quick_data = analyze_data(warmup, region, MemConfig::default());
+    c.bench_function("rob_sweep_quick", |b| {
+        b.iter(|| {
+            ROB_SWEEP
+                .iter()
+                .map(|&rob| rob_model(&quick_info, &quick_data, rob).commit_cycles[0])
+                .sum::<u64>()
+        });
+    });
+
     c.bench_function("lq_model_16", |b| {
         b.iter(|| queue_model(&info, &data, 16, QueueKind::Load));
     });
@@ -48,6 +65,15 @@ fn bench_analytic(c: &mut Criterion) {
         let samples: Vec<f64> = (0..64).map(|i| (i % 13) as f64).collect();
         let enc = Encoding::paper();
         b.iter(|| enc.encode(&samples));
+    });
+    c.bench_function("encode_u32_4096", |b| {
+        // The shape of a per-arch store's latency encodings: 4096 samples,
+        // heavily duplicated, through the paper's 101-dim encoding.
+        let samples: Vec<u32> = (0..4096u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 211)
+            .collect();
+        let enc = Encoding::paper();
+        b.iter(|| enc.encode_u32(&samples));
     });
 }
 

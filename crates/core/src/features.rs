@@ -305,7 +305,9 @@ impl FeatureStore {
     ///
     /// Cost scales with `|d_cfgs| × (|rob ∪ ROB_SWEEP| + |lq| + |sq|)` ROB-model
     /// runs plus cheap width/pipe/frontend analyses (paper §5.2.3's cost
-    /// breakdown: the ROB invocations dominate).
+    /// breakdown: the ROB invocations dominate). The arch-independent part of
+    /// those runs — the dependency graph and the dense load-line ids — is
+    /// built once per region by `analyze_static`; each run only walks it.
     pub fn precompute(
         warmup: &[Instruction],
         instrs: &[Instruction],
