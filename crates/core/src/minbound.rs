@@ -1,11 +1,11 @@
-//! Direct analytic min-bound estimation — the degraded-answer fast path.
+//! Direct analytic min-bound estimation, without a feature store.
 //!
 //! [`FeatureStore::min_bound_cpi`](crate::features::FeatureStore::min_bound_cpi)
 //! needs a full precomputed store: every resource's throughput series at
 //! every sweep grid point, which is exactly the work a serving cache miss
 //! queues on the precompute pool. But the min-bound itself only consults
-//! *one* grid point per resource — the queried architecture's — so a server
-//! that must answer *now* (SLO-driven load shedding) can run the analytic
+//! *one* grid point per resource — the queried architecture's — so a caller
+//! that only wants the bound (`concorde bound --fast`) can run the analytic
 //! models once at that single point instead of over the whole sweep.
 //!
 //! [`MinBoundEstimator`] does exactly that: one `analyze_static` pass plus
@@ -19,9 +19,7 @@
 //! The per-window combination is shared with the store path
 //! ([`combine_min_bound`]), so for an architecture that sits exactly on a
 //! store's grid (e.g. any architecture under `SweepConfig::for_arch`) the
-//! estimate is **bitwise identical** to `store.min_bound_cpi(arch)` — the
-//! degraded answer a shedding server returns is the same number the full
-//! store would have bounded with.
+//! estimate is **bitwise identical** to `store.min_bound_cpi(arch)`.
 
 use std::collections::HashMap;
 
@@ -93,8 +91,7 @@ impl<'a> MinBoundEstimator<'a> {
         }
     }
 
-    /// The pure-analytical CPI min-bound for `arch` — the flagged-approximate
-    /// estimate a shedding server answers with.
+    /// The pure-analytical CPI min-bound for `arch`.
     pub fn min_bound_cpi(&mut self, arch: &MicroArch) -> f64 {
         let (warmup, instrs, k) = (self.warmup, self.instrs, self.k);
         let data = self

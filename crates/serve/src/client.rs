@@ -73,11 +73,6 @@ impl Client {
 
     /// Predicts one request, blocking for the response.
     ///
-    /// For a `notify: true` request answered with a shed (`approx`)
-    /// response, the follow-up `{"type":"upgrade"}` line arrives later on
-    /// the same channel — use [`Client::submit`] and hold the receiver to
-    /// observe it; this convenience call drops it.
-    ///
     /// # Errors
     ///
     /// See [`Client::submit`]; also [`ServeError::Disconnected`] if the
@@ -198,16 +193,11 @@ impl Client {
     }
 }
 
-/// Blocking TCP client for the line-delimited JSON protocol.
-///
-/// The server may *push* `{"type":"upgrade"}` lines (exact answers landing
-/// after a `notify: true` shed reply) at any point; request/response calls
-/// stash them internally, and [`TcpClient::wait_upgrade`] hands them out.
+/// Blocking TCP client for the line-delimited JSON protocol: one request
+/// line out, one reply line back.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Upgrade lines read while awaiting some other reply, FIFO.
-    pending_upgrades: std::collections::VecDeque<PredictResponse>,
 }
 
 /// One round of splitmix64 — the jitter source for [`backoff_delay`].
@@ -240,17 +230,6 @@ pub fn backoff_delay(base: Duration, cap: Duration, seed: u64, attempt: u32) -> 
     Duration::from_nanos((nominal as i64 + offset).max(0) as u64)
 }
 
-/// True for a pushed `{"type":"upgrade"}` line (checked on the raw JSON so
-/// non-response replies — metrics maps, stats — are never misclassified).
-fn is_upgrade_line(line: &str) -> bool {
-    serde_json::from_str::<serde_json::Value>(line)
-        .ok()
-        .as_ref()
-        .and_then(|v| v.get("type"))
-        .and_then(serde_json::Value::as_str)
-        == Some("upgrade")
-}
-
 impl TcpClient {
     /// Connects to a `concorde serve` endpoint (e.g. `127.0.0.1:7878`).
     ///
@@ -267,7 +246,6 @@ impl TcpClient {
         Ok(TcpClient {
             reader,
             writer: stream,
-            pending_upgrades: std::collections::VecDeque::new(),
         })
     }
 
@@ -307,28 +285,6 @@ impl TcpClient {
         Err(last.unwrap_or_else(|| std::io::Error::other("no connect attempts made")))
     }
 
-    fn read_reply_line(&mut self) -> std::io::Result<String> {
-        loop {
-            let mut resp = String::new();
-            self.reader.read_line(&mut resp)?;
-            if resp.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                ));
-            }
-            // An upgrade push racing a request's reply: stash it for
-            // `wait_upgrade` and keep reading for the actual reply.
-            if is_upgrade_line(&resp) {
-                if let Ok(up) = serde_json::from_str(&resp) {
-                    self.pending_upgrades.push_back(up);
-                }
-                continue;
-            }
-            return Ok(resp);
-        }
-    }
-
     fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
         // One write per request line, newline included: a separate write for
         // the `\n` would stall ~40 ms on Nagle plus the peer's delayed ACK.
@@ -336,38 +292,15 @@ impl TcpClient {
         framed.push_str(line);
         framed.push('\n');
         self.writer.write_all(framed.as_bytes())?;
-        self.read_reply_line()
-    }
-
-    /// Blocks for the next pushed `{"type":"upgrade"}` line — the exact CPI
-    /// promised to a `notify: true` request that was answered with a shed
-    /// (`approx`) reply. Returns a stashed upgrade immediately if one
-    /// already arrived interleaved with other replies.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors; `UnexpectedEof` if the server closes first. Callers
-    /// should set a read timeout on the socket if they cannot wait
-    /// indefinitely.
-    pub fn wait_upgrade(&mut self) -> std::io::Result<PredictResponse> {
-        if let Some(up) = self.pending_upgrades.pop_front() {
-            return Ok(up);
+        let mut resp = String::new();
+        self.reader.read_line(&mut resp)?;
+        if resp.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed connection",
+            ));
         }
-        loop {
-            let mut resp = String::new();
-            self.reader.read_line(&mut resp)?;
-            if resp.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                ));
-            }
-            if is_upgrade_line(&resp) {
-                return serde_json::from_str(&resp).map_err(std::io::Error::other);
-            }
-            // Any non-upgrade line here is a reply nobody is waiting for
-            // (protocol misuse); drop it rather than deadlock.
-        }
+        Ok(resp)
     }
 
     /// Predicts one request over the wire.

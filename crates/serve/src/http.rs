@@ -18,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::service::{prometheus_text, PredictionService, Shared};
 
@@ -121,15 +121,26 @@ fn scrape_timeout(read_timeout: Option<Duration>) -> Duration {
 }
 
 /// Reads one request head (through the blank line) and writes one response.
+///
+/// The whole head shares one deadline, the scrape timeout from accept: a
+/// client dribbling one byte just inside each read timeout would otherwise
+/// hold the single-threaded accept loop for up to 8 KiB × the timeout.
 fn handle_scrape(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let timeout = scrape_timeout(shared.cfg.read_timeout);
-    stream.set_read_timeout(Some(timeout))?;
+    let deadline = Instant::now() + timeout;
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nonblocking(false)?;
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     // 8 KiB head cap: a real scrape request is a few hundred bytes.
     while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < 8192 {
+        // Each read may wait only for what is left of the head's deadline;
+        // once it has passed, end the connection like a read timeout does.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&buf[..n]),

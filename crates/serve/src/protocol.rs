@@ -265,28 +265,18 @@ pub struct PredictRequest {
     /// Microarchitecture to predict for.
     #[serde(default)]
     pub arch: ArchSpec,
-    /// Miss-wait deadline in milliseconds. On a cache miss, if the projected
-    /// wait for this request's feature-store build exceeds the deadline, the
-    /// service answers the analytic min-bound immediately (`approx: true`,
-    /// `reason: "shed"`) instead of parking — see
-    /// [`ServeConfig::miss_slo`](crate::ServeConfig::miss_slo). Overrides the
-    /// server's `--miss-slo-ms` for this request; absent means the server
-    /// default applies. Ignored on cache hits, which are always exact.
+    /// Miss-wait deadline in milliseconds. On a cache miss, the precompute
+    /// pool builds the store of the parked request with the earliest
+    /// deadline first; the answer is the exact prediction either way.
+    /// Overrides the class SLO (`--slo`) for this request. Ignored on cache
+    /// hits.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
     /// QoS class: labels this request's latency histograms and selects the
-    /// per-class miss-wait SLO and EDF deadline (`interactive` default,
-    /// `batch` for sweep traffic).
+    /// per-class SLO that serves as its EDF build deadline (`interactive`
+    /// default, `batch` for sweep traffic).
     #[serde(default)]
     pub class: RequestClass,
-    /// Shed-answer upgrade signaling: when `true` and this request is shed
-    /// (`approx: true`), the server sends a follow-up
-    /// `{"type": "upgrade", "cpi": ...}` line with the exact prediction once
-    /// the feature store lands — so the client need not poll. A notify
-    /// request always keeps its exact build registered (it counts as a
-    /// waiter for the speculative-build backstop).
-    #[serde(default)]
-    pub notify: bool,
     /// Feature-schema version pin: when present, the request is answered
     /// with a typed `{"type": "error", "reason": "schema_mismatch"}` unless
     /// it equals the server's `SCHEMA_VERSION` — a layout drift surfaces as
@@ -307,7 +297,6 @@ impl PredictRequest {
             arch,
             deadline_ms: None,
             class: RequestClass::Interactive,
-            notify: false,
             schema_version: None,
         }
     }
@@ -324,28 +313,24 @@ pub struct PredictResponse {
     pub error: Option<String>,
     /// Whether the region's feature store was already cached.
     pub cached: bool,
-    /// True when `cpi` is a degraded estimate (the analytic min-bound), not
-    /// the exact model prediction — see `reason`. Never set on a cache hit:
-    /// hits are always answered exactly.
+    /// Always `false`: every answer is the exact model prediction. Kept on
+    /// the wire so existing clients that read it keep parsing.
     pub approx: bool,
-    /// Why the answer is approximate or what kind of error this is:
-    /// `"shed"` (the precompute-pool backlog exceeded the request's
-    /// miss-wait deadline) on degraded answers, `"schema_mismatch"` on the
-    /// typed schema-pin error. `null` otherwise — test `approx`/`error`,
-    /// not key presence, to classify a response.
+    /// What kind of typed error this is: `"schema_mismatch"` on the
+    /// schema-pin error, `"internal"` on a caught worker or build panic.
+    /// `null` otherwise — test `error`, not key presence, to classify a
+    /// response.
     pub reason: Option<String>,
     /// Message kind, serialized as `"type"`: `None` for ordinary replies,
-    /// `"upgrade"` for the out-of-band exact-answer follow-up to a shed
-    /// response with `notify: true`, `"error"` for typed errors
-    /// (e.g. `reason: "schema_mismatch"`).
+    /// `"error"` for typed errors (e.g. `reason: "schema_mismatch"`).
     pub kind: Option<String>,
     /// End-to-end service latency in microseconds (enqueue → response).
     pub micros: u64,
 }
 
 // Manual (de)serialization: the derive shim has no `rename`, and the wire
-// field for `kind` must be `"type"` (`{"type": "upgrade"}` /
-// `{"type": "error"}` — the same convention as the TCP `busy` line). Field
+// field for `kind` must be `"type"` (`{"type": "error"}` — the same
+// convention as the TCP `busy` line). Field
 // set and defaults otherwise mirror what the derive produced, so legacy
 // response lines parse unchanged.
 impl Serialize for PredictResponse {
@@ -405,37 +390,6 @@ impl PredictResponse {
         }
     }
 
-    /// Degraded (load-shed) response: the analytic min-bound CPI, flagged so
-    /// clients can distinguish it from an exact answer.
-    pub fn shed(id: u64, cpi: f64, micros: u64) -> Self {
-        PredictResponse {
-            id,
-            cpi: Some(cpi),
-            error: None,
-            cached: false,
-            approx: true,
-            reason: Some("shed".to_string()),
-            kind: None,
-            micros,
-        }
-    }
-
-    /// Out-of-band follow-up to a shed answer for a `notify: true` request:
-    /// the exact model CPI, pushed once the feature store lands. `micros` is
-    /// the total enqueue → upgrade latency.
-    pub fn upgrade(id: u64, cpi: f64, micros: u64) -> Self {
-        PredictResponse {
-            id,
-            cpi: Some(cpi),
-            error: None,
-            cached: false,
-            approx: false,
-            reason: None,
-            kind: Some("upgrade".to_string()),
-            micros,
-        }
-    }
-
     /// Error response.
     pub fn err(id: u64, msg: impl Into<String>, micros: u64) -> Self {
         PredictResponse {
@@ -484,11 +438,6 @@ impl PredictResponse {
             kind: Some("error".to_string()),
             micros,
         }
-    }
-
-    /// True for typed `{"type":"upgrade"}` follow-up lines.
-    pub fn is_upgrade(&self) -> bool {
-        self.kind.as_deref() == Some("upgrade")
     }
 
     /// Appends this response's JSON encoding to `out` — byte-identical to
@@ -932,14 +881,6 @@ impl<'a> FastParser<'a> {
         Ok(Some(self.number_value()?.as_u32()?))
     }
 
-    fn bool_value(&mut self) -> Result<bool, FastMiss> {
-        match self.peek() {
-            Some(b't') => self.literal("true").map(|()| true),
-            Some(b'f') => self.literal("false").map(|()| false),
-            _ => Err(FastMiss::Fallback),
-        }
-    }
-
     /// A short string value (workload ids, base names, class labels).
     fn small_string_value(&mut self) -> Result<SmallStr, FastMiss> {
         if self.peek() != Some(b'"') {
@@ -1060,7 +1001,6 @@ impl<'a> FastParser<'a> {
                     req.class = RequestClass::parse(s.as_str().ok_or(FastMiss::Fallback)?)
                         .ok_or(FastMiss::Fallback)?;
                 }
-                Some("notify") => req.notify = self.bool_value()?,
                 Some("schema_version") => req.schema_version = self.opt_u32_value()?,
                 _ => self.skip_value()?,
             }
@@ -1174,20 +1114,17 @@ mod tests {
         assert_eq!(tight.deadline_ms, Some(5));
         // QoS fields default off…
         assert_eq!(sparse.class, RequestClass::Interactive);
-        assert!(!sparse.notify);
         assert_eq!(sparse.schema_version, None);
         // …and round-trip when set.
-        let qos: PredictRequest = serde_json::from_str(
-            r#"{"workload": "C1", "class": "batch", "notify": true, "schema_version": 3}"#,
-        )
-        .unwrap();
+        let qos: PredictRequest =
+            serde_json::from_str(r#"{"workload": "C1", "class": "batch", "schema_version": 3}"#)
+                .unwrap();
         assert_eq!(qos.class, RequestClass::Batch);
-        assert!(qos.notify);
         assert_eq!(qos.schema_version, Some(3));
         let line = serde_json::to_string(&qos).unwrap();
         let back: PredictRequest = serde_json::from_str(&line).unwrap();
         assert_eq!(back.class, RequestClass::Batch);
-        assert!(back.notify);
+        assert_eq!(back.schema_version, Some(3));
     }
 
     #[test]
@@ -1209,22 +1146,15 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_and_typed_error_roundtrip() {
-        let up = PredictResponse::upgrade(7, 1.25, 900);
-        assert!(up.is_upgrade() && !up.approx);
-        let line = serde_json::to_string(&up).unwrap();
-        // The wire key is `type`, not `kind`.
-        assert!(line.contains(r#""type":"upgrade""#), "{line}");
-        assert!(!line.contains("kind"), "{line}");
-        let back: PredictResponse = serde_json::from_str(&line).unwrap();
-        assert!(back.is_upgrade());
-        assert_eq!(back.cpi, Some(1.25));
-
+    fn typed_error_roundtrip() {
         let err = PredictResponse::schema_mismatch(3, 2, 3, 10);
         assert_eq!(err.kind.as_deref(), Some("error"));
         assert_eq!(err.reason.as_deref(), Some("schema_mismatch"));
-        let back: PredictResponse =
-            serde_json::from_str(&serde_json::to_string(&err).unwrap()).unwrap();
+        let line = serde_json::to_string(&err).unwrap();
+        // The wire key is `type`, not `kind`.
+        assert!(line.contains(r#""type":"error""#), "{line}");
+        assert!(!line.contains("kind"), "{line}");
+        let back: PredictResponse = serde_json::from_str(&line).unwrap();
         assert_eq!(back.kind.as_deref(), Some("error"));
         assert_eq!(back.reason.as_deref(), Some("schema_mismatch"));
         assert!(back.error.unwrap().contains("v2"));
@@ -1233,7 +1163,7 @@ mod tests {
             &serde_json::to_string(&PredictResponse::ok(1, 1.0, false, 2)).unwrap(),
         )
         .unwrap();
-        assert!(ok.kind.is_none() && !ok.is_upgrade());
+        assert!(ok.kind.is_none());
 
         // A worker-panic answer is the typed `reason: "internal"` error.
         let internal = PredictResponse::internal(9, "eval panicked", 42);
@@ -1250,17 +1180,11 @@ mod tests {
     }
 
     #[test]
-    fn shed_response_is_flagged_approximate() {
-        let shed = PredictResponse::shed(4, 1.5, 12);
-        assert!(shed.approx && !shed.cached);
-        assert_eq!(shed.reason.as_deref(), Some("shed"));
-        let back: PredictResponse =
-            serde_json::from_str(&serde_json::to_string(&shed).unwrap()).unwrap();
-        assert!(back.approx);
-        assert_eq!(back.reason.as_deref(), Some("shed"));
-        // Exact responses never carry the flag, and legacy response lines
-        // (no `approx` field) parse as exact.
-        assert!(!PredictResponse::ok(1, 1.0, true, 1).approx);
+    fn approx_stays_on_the_wire_and_is_false() {
+        // The field is still encoded, so clients that read it keep parsing…
+        let line = serde_json::to_string(&PredictResponse::ok(1, 1.0, true, 1)).unwrap();
+        assert!(line.contains(r#""approx":false"#), "{line}");
+        // …and response lines without it parse as exact.
         let legacy: PredictResponse =
             serde_json::from_str(r#"{"id": 1, "cpi": 2.0, "cached": true}"#).unwrap();
         assert!(!legacy.approx && legacy.reason.is_none());

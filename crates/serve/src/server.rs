@@ -6,11 +6,8 @@
 //! Protocol, one JSON document per line:
 //!
 //! - `{...}` with a `workload` field → [`PredictRequest`] → one response line
-//!   (an optional `deadline_ms` caps the miss wait: past it the server sheds
-//!   the request to the flagged analytic min-bound, `"approx": true`; a
-//!   `"notify": true` request that was shed additionally receives a later
-//!   pushed `{"type": "upgrade"}` line carrying the exact CPI once its
-//!   feature store lands)
+//!   carrying the exact prediction (an optional `deadline_ms` or `class`
+//!   only orders cold-region builds, earliest deadline first)
 //! - `[{...}, ...]` → batch of requests → one array response line
 //! - `{"cmd": "ping"}` → `{"ok": true}`
 //! - `{"cmd": "metrics"}` → metrics snapshot (JSON); with
@@ -43,16 +40,16 @@
 //!
 //! A connection arriving past the cap is answered with one typed error line
 //! — `{"error": ..., "type": "busy", ...}` — and closed, so clients can
-//! distinguish "retry later" from a protocol failure. Because upgrade lines
-//! are pushed whenever their store lands, replies on a connection that uses
-//! `notify` are not strictly request-ordered — clients dispatch on the
-//! `type` field (see [`TcpClient::wait_upgrade`](crate::TcpClient::wait_upgrade)).
+//! distinguish "retry later" from a protocol failure.
+//!
+//! Replies on a connection are strictly request-ordered: each request line
+//! gets exactly one reply line, written by the connection's own handler
+//! thread before it reads the next line.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
@@ -279,66 +276,10 @@ fn read_bounded_line(
     }
 }
 
-/// The write half of a connection, shared between the request/reply loop
-/// and any upgrade-push waiter threads (pushed lines must not interleave
-/// mid-reply, so every line goes out under this lock).
-type SharedWriter = Arc<Mutex<TcpStream>>;
-
-fn write_line(writer: &SharedWriter, line: &str) -> std::io::Result<()> {
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
-
-/// Holds a shed-and-notified request's response channel until the exact
-/// answer lands, then pushes the `{"type":"upgrade"}` line. One short-lived
-/// thread per notified shed answer: it spends its life blocked on the
-/// channel, and the channel closes (ending the thread) as soon as the
-/// service answers or drops the job.
-fn spawn_upgrade_waiter(rx: mpsc::Receiver<PredictResponse>, writer: SharedWriter) {
-    let _ = std::thread::Builder::new()
-        .name("concorde-upgrade-push".to_string())
-        .spawn(move || {
-            if let Ok(resp) = rx.recv() {
-                if resp.is_upgrade() {
-                    let line = serde_json::to_string(&resp).expect("serialize upgrade");
-                    let _ = write_line(&writer, &line);
-                }
-            }
-        });
-}
-
-/// Waits for a submitted request's first response; if it was shed and the
-/// request asked to be notified, leaves a waiter behind to push the
-/// eventual upgrade line.
-fn recv_first(
-    rx: mpsc::Receiver<PredictResponse>,
-    notify: bool,
-    writer: &SharedWriter,
-) -> Result<PredictResponse, crate::ServeError> {
-    let resp = rx.recv().map_err(|_| crate::ServeError::Disconnected)?;
-    if notify && resp.approx {
-        spawn_upgrade_waiter(rx, Arc::clone(writer));
-    }
-    Ok(resp)
-}
-
-/// Slot-path twin of [`spawn_upgrade_waiter`]: holds the shed request's
-/// [`SlotReceiver`] until the exact answer lands, then pushes the
-/// `{"type":"upgrade"}` line. Dropping the receiver afterwards retires the
-/// slot's generation and recycles it.
-fn spawn_slot_upgrade_waiter(rx: SlotReceiver, writer: SharedWriter) {
-    let _ = std::thread::Builder::new()
-        .name("concorde-upgrade-push".to_string())
-        .spawn(move || {
-            let resp = rx.recv();
-            if resp.is_upgrade() {
-                let mut line = String::new();
-                resp.encode_json_into(&mut line);
-                let _ = write_line(&writer, &line);
-            }
-        });
+fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// One reply owed by the fast path, in request order: a live response slot,
@@ -355,7 +296,6 @@ enum Pending {
 #[derive(Default)]
 struct ConnScratch {
     reqs: Vec<PredictRequest>,
-    notify: Vec<bool>,
     rxs: Vec<SlotReceiver>,
     jobs: Vec<Job>,
     pending: Vec<Pending>,
@@ -373,7 +313,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
     // clock between blocking reads.
     let poll = idle_after.map_or(READ_POLL, |t| t.min(READ_POLL));
     stream.set_read_timeout(Some(poll))?;
-    let writer: SharedWriter = Arc::new(Mutex::new(stream.try_clone()?));
+    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut raw = Vec::new();
     let mut scratch = ConnScratch::default();
@@ -390,7 +330,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
                     "reason": "oversized",
                     "max_line_bytes": max_line,
                 });
-                let _ = write_line(&writer, &reply.to_string());
+                let _ = write_line(&mut writer, &reply.to_string());
                 break;
             }
         }
@@ -398,7 +338,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
             Ok(l) => l,
             Err(e) => {
                 let reply = json!({ "error": format!("malformed JSON: invalid UTF-8: {e}") });
-                let _ = write_line(&writer, &reply.to_string());
+                let _ = write_line(&mut writer, &reply.to_string());
                 break;
             }
         };
@@ -410,15 +350,15 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
         // objects, malformed JSON, exotic shapes — falls back to the
         // `Value` path, which owns error messages and `cmd` handling.
         match decode_request_line(line, &mut scratch.reqs) {
-            Ok(shape) => handle_fast(&client, shape, &writer, &mut scratch)?,
+            Ok(shape) => handle_fast(&client, shape, &mut writer, &mut scratch)?,
             Err(_) => {
-                let reply = handle_line(&client, line, &writer);
+                let reply = handle_line(&client, line);
                 if shared.faults.on_reply() {
                     // Injected mid-reply socket drop: the engine answered,
                     // but the client sees the connection die first.
                     break;
                 }
-                write_line(&writer, &reply.to_string())?;
+                write_line(&mut writer, &reply.to_string())?;
             }
         }
         // A draining server finishes the in-flight line, answers it, and
@@ -439,12 +379,10 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
 fn handle_fast(
     client: &Client,
     shape: DecodedShape,
-    writer: &SharedWriter,
+    writer: &mut TcpStream,
     s: &mut ConnScratch,
 ) -> std::io::Result<()> {
     let shared = client.shared();
-    s.notify.clear();
-    s.notify.extend(s.reqs.iter().map(|r| r.notify));
     s.pending.clear();
     match submit_many(shared, &mut s.reqs, &mut s.rxs, &mut s.jobs) {
         Ok(()) => s.pending.extend(s.rxs.drain(..).map(Pending::Rx)),
@@ -496,13 +434,7 @@ fn handle_fast(
         }
         match pend {
             Pending::Err(resp) => resp.encode_json_into(&mut s.out),
-            Pending::Rx(rx) => {
-                let resp = rx.recv();
-                resp.encode_json_into(&mut s.out);
-                if s.notify[i] && resp.approx {
-                    spawn_slot_upgrade_waiter(rx, Arc::clone(writer));
-                }
-            }
+            Pending::Rx(rx) => rx.recv().encode_json_into(&mut s.out),
         }
     }
     if batch {
@@ -517,12 +449,11 @@ fn handle_fast(
             "injected fault: reply dropped",
         ));
     }
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    w.write_all(s.out.as_bytes())?;
-    w.flush()
+    writer.write_all(s.out.as_bytes())?;
+    writer.flush()
 }
 
-fn handle_line(client: &Client, line: &str, writer: &SharedWriter) -> Value {
+fn handle_line(client: &Client, line: &str) -> Value {
     let parsed: Value = match serde_json::from_str(line) {
         Ok(v) => v,
         Err(e) => return json!({ "error": format!("malformed JSON: {e}") }),
@@ -533,27 +464,23 @@ fn handle_line(client: &Client, line: &str, writer: &SharedWriter) -> Value {
                 Ok(r) => r,
                 Err(e) => return json!({ "error": format!("bad request batch: {e}") }),
             };
-            // Mirrors `Client::predict_many` (submit all with backpressure,
-            // then collect in order), but keeps each receiver so notified
-            // shed answers can leave an upgrade waiter behind. A submission
-            // or delivery failure is answered per request, in place — it
-            // used to collapse the whole reply into one error object,
-            // silently dropping the responses of requests already
+            // Submit all with backpressure, then collect in order. A
+            // submission or delivery failure is answered per request, in
+            // place — it used to collapse the whole reply into one error
+            // object, silently dropping the responses of requests already
             // submitted (and leaving the client unable to match replies to
             // requests).
-            let mut pending = Vec::with_capacity(reqs.len());
-            for req in reqs {
-                let notify = req.notify;
-                let id = req.id;
-                pending.push((id, notify, client.submit_blocking(req)));
-            }
-            let mut resps = Vec::with_capacity(pending.len());
-            for (id, notify, sub) in pending {
-                match sub.and_then(|rx| recv_first(rx, notify, writer)) {
-                    Ok(resp) => resps.push(resp),
-                    Err(e) => resps.push(PredictResponse::err(id, e.to_string(), 0)),
-                }
-            }
+            let pending: Vec<_> = reqs
+                .into_iter()
+                .map(|req| (req.id, client.submit_blocking(req)))
+                .collect();
+            let resps: Vec<PredictResponse> = pending
+                .into_iter()
+                .map(|(id, sub)| {
+                    sub.and_then(|rx| rx.recv().map_err(|_| ServeError::Disconnected))
+                        .unwrap_or_else(|e| PredictResponse::err(id, e.to_string(), 0))
+                })
+                .collect();
             serde_json::to_value(&resps).expect("serialize responses")
         }
         Value::Object(ref obj) if obj.contains_key("cmd") => {
@@ -586,11 +513,7 @@ fn handle_line(client: &Client, line: &str, writer: &SharedWriter) -> Value {
                 Ok(r) => r,
                 Err(e) => return json!({ "error": format!("bad request: {e}") }),
             };
-            let notify = req.notify;
-            let result = client
-                .submit(req)
-                .and_then(|rx| recv_first(rx, notify, writer));
-            match result {
+            match client.predict(req) {
                 Ok(resp) => serde_json::to_value(&resp).expect("serialize response"),
                 Err(e) => json!({ "error": e.to_string() }),
             }

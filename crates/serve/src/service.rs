@@ -18,13 +18,12 @@
 //!   When the store lands in the cache, the parked jobs are re-enqueued at
 //!   the front of the request queue and complete as ordinary hits (reported
 //!   with `cached: false` — their store was built on demand).
-//! - **Miss under load** (with [`ServeConfig::miss_slo`] or a per-request
-//!   `deadline_ms`) → if the projected wait (pool backlog × the observed
-//!   per-build latency EWMA, see [`shed_decision`]) exceeds the deadline,
-//!   the request is *shed*: answered immediately with the analytic
-//!   min-bound CPI computed directly from the trace (no store build),
-//!   flagged `{"approx": true, "reason": "shed"}`. The exact build still
-//!   runs, so follow-up queries get exact cache hits.
+//!
+//! Every request gets exactly one answer, and every successful answer is the
+//! exact model prediction. A request's miss-wait deadline (its own
+//! `deadline_ms`, else its class SLO from [`ServeConfig::class_slo`]) only
+//! orders the precompute pool's builds earliest-deadline-first (see
+//! [`pick_task`]); it never changes what the request is answered with.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -37,7 +36,6 @@ use concorde_core::cache::{
     sweep_content_hash, CacheStats, FeatureKey, ShardStats, ShardedStoreCache, StoreArtifact,
 };
 use concorde_core::features::FeatureStore;
-use concorde_core::minbound::MinBoundEstimator;
 use concorde_core::model::{ConcordePredictor, PredictScratch};
 use concorde_core::schema::{FeatureSchema, SCHEMA_VERSION};
 use concorde_core::sweep::{ReproProfile, SweepConfig};
@@ -76,9 +74,8 @@ pub enum SweepScope {
 /// Per-class miss-wait SLOs (`--slo interactive=25,batch=500`, milliseconds).
 ///
 /// A request's *effective deadline* resolves per job as: its own wire
-/// `deadline_ms`, else its class's SLO here, else the server-wide
-/// [`ServeConfig::miss_slo`]. The deadline feeds both the shed decision
-/// ([`shed_decision`]) and the precompute pool's EDF ordering
+/// `deadline_ms`, else its class's SLO here (see [`effective_slo`]). The
+/// deadline orders the precompute pool's builds earliest-deadline-first
 /// ([`pick_task`]) — a class with no SLO configured behaves exactly as
 /// before this knob existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -161,20 +158,9 @@ pub struct ServeConfig {
     /// many regions fit under [`ServeConfig::cache_bytes`] at a small,
     /// bounded prediction drift. Preloaded artifacts keep their own encoding.
     pub store_encoding: ArenaEncoding,
-    /// Miss-wait SLO (`--miss-slo-ms`): on a cache miss, if the projected
-    /// wait for the feature-store build (precompute-pool backlog × the
-    /// observed per-build latency EWMA, per pool worker — see
-    /// [`shed_decision`]) exceeds this, the request is *shed*: answered
-    /// immediately with the analytic min-bound CPI, flagged
-    /// `{"approx": true, "reason": "shed"}`, while the exact build still
-    /// runs and lands in the cache for later requests. A per-request
-    /// `deadline_ms` overrides this default. `None` (the default) disables
-    /// shedding — misses park until their store lands, exactly the pre-SLO
-    /// behavior.
-    pub miss_slo: Option<Duration>,
-    /// Per-class miss-wait SLOs (`--slo`): a middle resolution tier between
-    /// a request's own `deadline_ms` and the server-wide
-    /// [`ServeConfig::miss_slo`]. Empty by default (per-class QoS off).
+    /// Per-class miss-wait SLOs (`--slo`): the deadline a request without
+    /// its own `deadline_ms` gets for the precompute pool's EDF ordering.
+    /// Empty by default (per-class QoS off).
     pub class_slo: ClassSlo,
     /// Idle-connection reap timeout (`--read-timeout-ms`): a TCP connection
     /// that sends no complete request line for this long is closed. `None`
@@ -216,7 +202,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             sweep: SweepScope::PerArch,
             store_encoding: ArenaEncoding::F32,
-            miss_slo: None,
             class_slo: ClassSlo::default(),
             read_timeout: None,
             max_line_bytes: 1 << 20,
@@ -261,39 +246,6 @@ impl ServeConfig {
     }
 }
 
-/// The load-shedding decision: should a cache-miss request be answered with
-/// the degraded analytic min-bound now, instead of parking on the precompute
-/// pool until its exact feature store lands?
-///
-/// `backlog` is the number of builds the request would wait behind (its own
-/// included) *per pool worker*; `ewma_us` is the observed per-build latency
-/// EWMA in microseconds; `deadline_us` is the request's own deadline (wire
-/// `deadline_ms`, converted), which overrides the server-wide `slo_us`
-/// (`--miss-slo-ms`). The request is shed iff a limit is configured and the
-/// projected wait `backlog × ewma_us` exceeds it.
-///
-/// Guarantees (pinned by the monotonicity proptest in `tests/serving_shed.rs`):
-///
-/// - **Monotone in load**: growing `backlog` or `ewma_us` never flips an
-///   already-shed request back to waiting.
-/// - **Monotone in urgency**: tightening the effective deadline never flips
-///   shed → wait.
-/// - **Conservative bootstrap**: with no limit configured, or before any
-///   build has been observed (`ewma_us == 0`), nothing is shed.
-pub fn shed_decision(
-    backlog: usize,
-    ewma_us: u64,
-    slo_us: Option<u64>,
-    deadline_us: Option<u64>,
-) -> bool {
-    let Some(limit_us) = deadline_us.or(slo_us) else {
-        return false;
-    };
-    // u128: usize × u64 cannot overflow, so the product is exact and the
-    // decision stays monotone even at absurd backlog/EWMA values.
-    (backlog as u128) * u128::from(ewma_us) > u128::from(limit_us)
-}
-
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -334,13 +286,6 @@ pub struct Metrics {
     cache_misses: AtomicU64,
     coalesced: AtomicU64,
     precomputes: AtomicU64,
-    /// Shed answers, by request class.
-    shed: [AtomicU64; N_CLASSES],
-    shed_build_skips: AtomicU64,
-    /// `{"type":"upgrade"}` follow-up lines pushed (exact answers landing
-    /// after a `notify: true` shed reply). Not counted in `completed` — the
-    /// primary response already was.
-    upgrades: AtomicU64,
     /// Requests rejected for pinning a `schema_version` the server does not
     /// speak.
     schema_mismatches: AtomicU64,
@@ -386,9 +331,6 @@ impl Default for Metrics {
             cache_misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             precomputes: AtomicU64::new(0),
-            shed: std::array::from_fn(|_| AtomicU64::new(0)),
-            shed_build_skips: AtomicU64::new(0),
-            upgrades: AtomicU64::new(0),
             schema_mismatches: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
@@ -450,9 +392,6 @@ impl Metrics {
             },
             coalesced: self.coalesced.load(Ordering::Relaxed),
             precomputes: self.precomputes.load(Ordering::Relaxed),
-            shed: self.shed.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-            shed_build_skips: self.shed_build_skips.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
             schema_mismatches: self.schema_mismatches.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
@@ -507,20 +446,6 @@ pub struct MetricsSnapshot {
     /// Feature-store builds executed (pool or inline).
     #[serde(default)]
     pub precomputes: u64,
-    /// Cache-miss requests answered with the degraded analytic min-bound
-    /// (`approx: true`) because their projected wait exceeded the SLO or
-    /// their `deadline_ms`.
-    #[serde(default)]
-    pub shed: u64,
-    /// Speculative builds (fully-shed groups, nobody waiting) skipped
-    /// because the pool backlog already exceeded the backstop — a non-zero
-    /// value means a cold storm is outrunning the precompute pool.
-    #[serde(default)]
-    pub shed_build_skips: u64,
-    /// `{"type":"upgrade"}` exact-answer follow-ups pushed to `notify: true`
-    /// shed requests (not counted in `completed` — their shed reply was).
-    #[serde(default)]
-    pub upgrades: u64,
     /// Requests rejected with the typed `schema_mismatch` error for pinning
     /// a `schema_version` the server does not speak.
     #[serde(default)]
@@ -542,8 +467,7 @@ pub struct MetricsSnapshot {
     /// pool worker (gauge; consistent with [`MetricsSnapshot::parked`]).
     #[serde(default)]
     pub miss_backlog: usize,
-    /// Observed per-build latency EWMA in microseconds — the multiplier of
-    /// the [`shed_decision`] projected-wait estimate (0 until the first
+    /// Observed per-build latency EWMA in microseconds (0 until the first
     /// build completes).
     #[serde(default)]
     pub build_ewma_us: u64,
@@ -592,10 +516,6 @@ pub struct ServiceStats {
     /// Arena encoding of stores built on the miss path (`--encoding`).
     #[serde(default)]
     pub store_encoding: Option<ArenaEncoding>,
-    /// Miss-wait SLO in milliseconds (`--miss-slo-ms`); `None` = shedding
-    /// disabled unless a request carries its own `deadline_ms`.
-    #[serde(default)]
-    pub miss_slo_ms: Option<u64>,
     /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
     #[serde(default)]
     pub kernel: Option<String>,
@@ -644,30 +564,18 @@ pub(crate) struct Job {
     /// re-enqueued: its store was built on demand, so the response must
     /// report `cached: false` even though the re-run finds a cache hit.
     parked: bool,
-    /// Effective deadline for QoS: `enqueued` + the first of the request's
-    /// own `deadline_ms`, its class SLO ([`ServeConfig::class_slo`]), or the
-    /// server-wide [`ServeConfig::miss_slo`]. `None` when none is
-    /// configured. Drives the precompute pool's EDF ordering; the shed
-    /// decision derives the same resolution independently (it needs the
-    /// duration, not the instant).
+    /// Effective deadline for QoS: `enqueued` + [`effective_slo`]. `None`
+    /// when none is configured. Drives the precompute pool's EDF ordering
+    /// only; the answer itself is the same exact prediction either way.
     deadline: Option<Instant>,
-    /// True for a `notify: true` job that already received its shed answer
-    /// and is parked again only to be *upgraded*: when the exact store
-    /// lands, it gets a `{"type":"upgrade"}` line instead of an ordinary
-    /// response, and it must never be shed again.
-    upgrade: bool,
 }
 
-impl Job {
-    /// The request's effective miss-wait budget in µs for [`shed_decision`]
-    /// (the same resolution chain as [`Job::deadline`], minus the
-    /// server-wide tier, which `shed_decision` applies itself as `slo_us`).
-    fn deadline_us(&self, class_slo: &ClassSlo) -> Option<u64> {
-        self.req
-            .deadline_ms
-            .map(|ms| ms.saturating_mul(1_000))
-            .or_else(|| class_slo.get(self.req.class).map(|d| d.as_micros() as u64))
-    }
+/// A request's miss-wait budget: its own `deadline_ms`, else its class's
+/// SLO, else none.
+fn effective_slo(req: &PredictRequest, class_slo: &ClassSlo) -> Option<Duration> {
+    req.deadline_ms
+        .map(Duration::from_millis)
+        .or_else(|| class_slo.get(req.class))
 }
 
 /// A queued cache-miss build for the precompute pool.
@@ -696,23 +604,6 @@ const MAX_BUILD_RETRIES: u32 = 1;
 /// bounds waiter latency so parked-count priority cannot starve a
 /// single-waiter cold key under a stream of hotter ones.
 const MAX_BYPASS: u32 = 4;
-
-/// Per-pool-worker cap on builds outstanding before a *fully-shed* group
-/// (no job waits on the result) skips registering its build. A parked
-/// waiter applies natural backpressure — its client blocks until the store
-/// lands — but shed clients get an answer in milliseconds and can keep
-/// firing cold keys faster than the pool builds them; past this backlog
-/// the speculative builds are pure queue growth (the byte budget would
-/// evict them unread), so they are skipped and a later request for the key
-/// simply registers the build then.
-const SPECULATIVE_BACKLOG_MAX: usize = 32;
-
-/// Size caps for the shed-answer memo ([`Shared::shed_cache`]): at most
-/// this many keys (the map is cleared wholesale beyond it — the values are
-/// deterministic, so a re-computation is a cost, never an error) and at
-/// most this many architectures remembered per key.
-const SHED_CACHE_MAX_KEYS: usize = 256;
-const SHED_CACHE_MAX_ARCHS: usize = 64;
 
 /// Picks the next build, earliest-effective-deadline-first (EDF): `prio`
 /// maps a key to (earliest deadline among its parked waiters, parked
@@ -808,21 +699,9 @@ pub(crate) struct Shared {
     /// Arrival stamp for queued builds (the FIFO tie-breaker).
     pre_seq: AtomicU64,
     pre_notify: Condvar,
-    /// Precompute-pool threads serving this engine — the divisor of the
-    /// shed projected-wait estimate.
-    n_pool: usize,
     /// Observed per-build latency EWMA (µs, α = 1/4); 0 until the first
-    /// build completes, which keeps [`shed_decision`] conservative before
-    /// any latency has been observed.
+    /// build completes.
     build_ewma_us: AtomicU64,
-    /// Min-bound answers already computed for shed keys: key → (arch, CPI)
-    /// pairs, so a storm of repeated shed requests on one key pays the
-    /// trace analysis once instead of per request. Entries are dropped when
-    /// the key's exact build lands (the bound is then obsolete — the store
-    /// answers exactly), and the map is size-capped (see
-    /// [`SHED_CACHE_MAX_KEYS`]) so skipped speculative builds cannot grow
-    /// it without bound.
-    shed_cache: Mutex<HashMap<FeatureKey, Vec<(MicroArch, f64)>>>,
     pub(crate) metrics: Metrics,
     /// Fault-injection plan (the chaos harness's hooks); the default empty
     /// plan costs one branch per hook.
@@ -922,9 +801,7 @@ impl PredictionService {
             pre_queue: Mutex::new(Vec::new()),
             pre_seq: AtomicU64::new(0),
             pre_notify: Condvar::new(),
-            n_pool,
             build_ewma_us: AtomicU64::new(0),
-            shed_cache: Mutex::new(HashMap::new()),
             metrics: Metrics::default(),
             faults,
             draining: AtomicBool::new(false),
@@ -1152,23 +1029,16 @@ impl Drop for PredictionService {
 }
 
 /// Builds a [`Job`] around `req`, resolving its effective deadline (the
-/// request's own `deadline_ms`, else its class's SLO, else the server-wide
-/// miss SLO — the EDF key the precompute pool orders builds by).
+/// EDF key the precompute pool orders builds by).
 fn make_job(shared: &Shared, req: PredictRequest, tx: ResponseTx) -> Job {
     let enqueued = Instant::now();
-    let deadline = req
-        .deadline_ms
-        .map(Duration::from_millis)
-        .or_else(|| shared.cfg.class_slo.get(req.class))
-        .or(shared.cfg.miss_slo)
-        .map(|d| enqueued + d);
+    let deadline = effective_slo(&req, &shared.cfg.class_slo).map(|d| enqueued + d);
     Job {
         req,
         enqueued,
         tx,
         parked: false,
         deadline,
-        upgrade: false,
     }
 }
 
@@ -1311,7 +1181,6 @@ pub(crate) fn service_stats(shared: &Shared) -> ServiceStats {
         precompute_workers: shared.cfg.effective_precompute_workers(),
         max_connections: shared.cfg.max_connections.max(1),
         store_encoding: Some(shared.cfg.store_encoding),
-        miss_slo_ms: shared.cfg.miss_slo.map(|d| d.as_millis() as u64),
         kernel: Some(concorde_ml::kernel_name().to_string()),
     }
 }
@@ -1368,27 +1237,13 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
         .collect();
     w.counter(
         "concorde_responses_total",
-        "Responses delivered (success, shed, or error), by request class.",
+        "Responses delivered (success or error), by request class.",
         &responses,
     );
     w.counter(
         "concorde_errors_total",
         "Error responses among the completed ones.",
         &[(global(), snap.errored)],
-    );
-    let shed: Vec<_> = RequestClass::ALL
-        .iter()
-        .map(|c| (class_label(*c), m.shed[c.index()].load(Ordering::Relaxed)))
-        .collect();
-    w.counter(
-        "concorde_shed_total",
-        "Cache-miss requests answered with the degraded analytic min-bound, by request class.",
-        &shed,
-    );
-    w.counter(
-        "concorde_upgrades_total",
-        "Exact-answer upgrade lines pushed to notify-requesting shed clients.",
-        &[(global(), snap.upgrades)],
     );
     w.counter(
         "concorde_schema_mismatch_total",
@@ -1404,11 +1259,6 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
         "concorde_precomputes_total",
         "Feature-store builds executed (pool or inline).",
         &[(global(), snap.precomputes)],
-    );
-    w.counter(
-        "concorde_shed_build_skips_total",
-        "Speculative builds skipped past the backstop backlog.",
-        &[(global(), snap.shed_build_skips)],
     );
     w.counter(
         "concorde_batches_total",
@@ -1519,7 +1369,7 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
     );
     w.gauge(
         "concorde_build_ewma_seconds",
-        "Observed per-build latency EWMA (the shed decision's multiplier).",
+        "Observed per-build latency EWMA (alpha 1/4; 0 until the first build completes).",
         &[(global(), snap.build_ewma_us as f64 / 1e6)],
     );
     let latency: Vec<_> = RequestClass::ALL
@@ -1813,13 +1663,6 @@ fn validate_workload(shared: &Shared, id: &str) -> Result<(), String> {
 }
 
 fn respond(shared: &Shared, job: &Job, resp: PredictResponse) {
-    if resp.is_upgrade() {
-        // The job's primary (shed) response was already counted; the
-        // upgrade is a push, not a completion — only its own counter moves.
-        shared.metrics.upgrades.fetch_add(1, Ordering::Relaxed);
-        job.tx.send(resp);
-        return;
-    }
     if resp.error.is_some() {
         shared.metrics.errored.fetch_add(1, Ordering::Relaxed);
     }
@@ -2007,201 +1850,25 @@ fn eval_group(
         Ok(()) => {
             for ((job, _), &cpi) in jobs.iter().zip(scratch.outs.iter()) {
                 let us = job.enqueued.elapsed().as_micros() as u64;
-                let resp = if job.upgrade {
-                    // This job was already answered with the shed min-bound;
-                    // the exact CPI goes out as the promised follow-up line.
-                    PredictResponse::upgrade(job.req.id, cpi, us)
-                } else {
-                    // A job that parked on this store's build sees a "hit"
-                    // only because its own miss triggered the build — report
-                    // it as the precompute it was.
-                    PredictResponse::ok(job.req.id, cpi, !job.parked, us)
-                };
-                respond(shared, job, resp);
+                // A job that parked on this store's build sees a "hit" only
+                // because its own miss triggered the build — report it as
+                // the precompute it was.
+                respond(
+                    shared,
+                    job,
+                    PredictResponse::ok(job.req.id, cpi, !job.parked, us),
+                );
             }
         }
         Err(panic) => {
             shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             let msg = panic_message(panic);
             for (job, _) in jobs {
-                // An upgrade job already holds a (shed) answer: failing to
-                // improve on it is not an error worth a second reply line.
-                if job.upgrade {
-                    continue;
-                }
                 let us = job.enqueued.elapsed().as_micros() as u64;
                 respond(shared, job, PredictResponse::internal(job.req.id, &msg, us));
             }
         }
     }
-}
-
-/// Splits a missed group into the jobs that park (wait for the exact store)
-/// and the jobs that shed (answer the analytic min-bound now), per
-/// [`shed_decision`]. `registers_build` adds the group's own build to the
-/// backlog estimate when no in-flight entry exists yet.
-fn split_shed(shared: &Shared, jobs: ArchJobs, registers_build: bool) -> (ArchJobs, ArchJobs) {
-    let slo_us = shared.cfg.miss_slo.map(|d| d.as_micros() as u64);
-    // Cheap early-out: shedding entirely unconfigured (the common case) —
-    // skip the per-job scan and preserve the pre-SLO behavior exactly.
-    if slo_us.is_none()
-        && shared.cfg.class_slo.is_empty()
-        && jobs.iter().all(|(j, _)| j.req.deadline_ms.is_none())
-    {
-        return (jobs, Vec::new());
-    }
-    let ewma_us = shared.build_ewma_us.load(Ordering::Relaxed);
-    let backlog = shared.inflight_builds.load(Ordering::SeqCst) + usize::from(registers_build);
-    let per_worker = backlog.div_ceil(shared.n_pool.max(1));
-    let mut parked = Vec::new();
-    let mut shed = Vec::new();
-    for (job, arch) in jobs {
-        // A re-parked upgrade job already holds its shed answer; shedding
-        // it again would send a duplicate — it always waits for the store.
-        let deadline_us = job.deadline_us(&shared.cfg.class_slo);
-        if !job.upgrade && shed_decision(per_worker, ewma_us, slo_us, deadline_us) {
-            shed.push((job, arch));
-        } else {
-            parked.push((job, arch));
-        }
-    }
-    (parked, shed)
-}
-
-/// Answers shed jobs with the analytic min-bound CPI for their region —
-/// computed directly (no [`FeatureStore`] build) via [`MinBoundEstimator`],
-/// flagged `approx: true` so clients can tell the degraded answer from an
-/// exact one. The exact build these jobs declined to wait for keeps running
-/// on the pool (unless the speculative backstop skipped it — see
-/// `park_group`).
-///
-/// The bound is deterministic per `(key, arch)`, so answers are memoized in
-/// [`Shared::shed_cache`]: a storm of repeated shed requests on one cold
-/// key pays the trace generation + analysis once, not per request — the
-/// worker thread computing here is a hit-path worker, and N× recomputation
-/// would reintroduce the stall shedding exists to avoid.
-///
-/// Returns the answered `notify: true` jobs, flagged for upgrade — the
-/// caller parks them back on the key's in-flight build
-/// ([`park_for_upgrade`]) so the exact CPI is pushed when the store lands.
-fn answer_shed(shared: &Shared, key: &FeatureKey, jobs: ArchJobs) -> Vec<Job> {
-    for (job, _) in &jobs {
-        shared.metrics.shed[job.req.class.index()].fetch_add(1, Ordering::Relaxed);
-    }
-    let mut answers: Vec<Option<f64>> = {
-        let sc = shared.shed_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = sc.get(key);
-        jobs.iter()
-            .map(|(_, arch)| {
-                entry.and_then(|v| v.iter().find(|(a, _)| a == arch).map(|(_, cpi)| *cpi))
-            })
-            .collect()
-    };
-    // One entry per *distinct* uncached architecture: a batched storm of
-    // identical requests forms one group, and the analytic models must run
-    // once for it, not once per job.
-    let mut missing: Vec<(Vec<usize>, MicroArch)> = Vec::new();
-    for (i, answer) in answers.iter().enumerate() {
-        if answer.is_some() {
-            continue;
-        }
-        let arch = jobs[i].1;
-        match missing.iter_mut().find(|(_, a)| *a == arch) {
-            Some((idxs, _)) => idxs.push(i),
-            None => missing.push((vec![i], arch)),
-        }
-    }
-    if !missing.is_empty() {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Validated at admission; an evicted provider re-resolves
-            // deterministically here. Failure (e.g. the backing ELF vanished
-            // since) panics into this unwind guard → typed error, not a
-            // wedged worker.
-            let resolved = concorde_trace::resolve_workload(&key.workload)
-                .unwrap_or_else(|e| panic!("workload `{}` became unresolvable: {e}", key.workload));
-            // Same region/warmup convention as `precompute_store`, so the
-            // min-bound is computed over exactly the instructions the exact
-            // store will cover.
-            let warm_start = key.start.saturating_sub(shared.profile.warmup_len as u64);
-            let warm_len = (key.start - warm_start) as usize;
-            let region =
-                resolved.materialize(key.trace, warm_start, warm_len + key.region_len as usize);
-            let (w, r) = region.instrs.split_at(warm_len.min(region.instrs.len()));
-            let mut est = MinBoundEstimator::new(w, r, &shared.profile);
-            missing
-                .iter()
-                .map(|(_, arch)| est.min_bound_cpi(arch))
-                .collect::<Vec<f64>>()
-        }));
-        match outcome {
-            Ok(cpis) => {
-                {
-                    let mut sc = shared.shed_cache.lock().unwrap_or_else(|e| e.into_inner());
-                    if sc.len() >= SHED_CACHE_MAX_KEYS && !sc.contains_key(key) {
-                        sc.clear();
-                    }
-                    let entry = sc.entry(key.clone()).or_default();
-                    for ((_, arch), cpi) in missing.iter().zip(&cpis) {
-                        if entry.len() >= SHED_CACHE_MAX_ARCHS {
-                            break;
-                        }
-                        entry.push((*arch, *cpi));
-                    }
-                }
-                for ((idxs, _), cpi) in missing.iter().zip(&cpis) {
-                    for i in idxs {
-                        answers[*i] = Some(*cpi);
-                    }
-                }
-            }
-            Err(panic) => {
-                // Jobs whose bound was already cached still get it below;
-                // only the ones that needed the failed computation error.
-                shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let msg = panic_message(panic);
-                for i in missing.iter().flat_map(|(idxs, _)| idxs) {
-                    let (job, _) = &jobs[*i];
-                    let us = job.enqueued.elapsed().as_micros() as u64;
-                    respond(shared, job, PredictResponse::internal(job.req.id, &msg, us));
-                }
-            }
-        }
-    }
-    let mut upgraders = Vec::new();
-    for ((mut job, _), answer) in jobs.into_iter().zip(answers) {
-        if let Some(cpi) = answer {
-            let us = job.enqueued.elapsed().as_micros() as u64;
-            respond(shared, &job, PredictResponse::shed(job.req.id, cpi, us));
-            if job.req.notify {
-                job.upgrade = true;
-                job.parked = true;
-                upgraders.push(job);
-            }
-        }
-    }
-    upgraders
-}
-
-/// Parks answered `notify: true` shed jobs back on the key's in-flight
-/// entry, so the store's landing re-enqueues them and [`eval_group`] pushes
-/// their `{"type":"upgrade"}` line. If the build landed (or errored) in the
-/// window since the shed answer, the entry is gone — then the jobs re-enter
-/// the request queue directly and upgrade via an ordinary cache probe.
-fn park_for_upgrade(shared: &Shared, key: &FeatureKey, jobs: Vec<Job>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let leftover = {
-        let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        match inflight.get_mut(key) {
-            Some(entry) => {
-                entry.extend(jobs);
-                Vec::new()
-            }
-            None => jobs,
-        }
-    };
-    push_front_batch(shared, leftover);
 }
 
 /// Re-enqueues jobs at the *front* of one round-robin shard (they have
@@ -2231,11 +1898,7 @@ fn push_front_batch(shared: &Shared, jobs: Vec<Job>) {
 /// Parks a missed group: joins the key's in-flight build if one exists
 /// (single-flight deduplication), otherwise registers a new one and queues
 /// it to the precompute pool. If the store landed between the cache probe
-/// and the registry lock, evaluates immediately instead. Jobs whose
-/// projected wait exceeds their miss-wait deadline ([`shed_decision`]) do
-/// not park: they are answered immediately with the flagged analytic
-/// min-bound, while the build itself is still registered/queued so the
-/// exact store lands for later requests.
+/// and the registry lock, evaluates immediately instead.
 fn park_group(
     shared: &Shared,
     key: FeatureKey,
@@ -2245,17 +1908,11 @@ fn park_group(
 ) {
     let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(entry) = inflight.get_mut(&key) {
-        let (parked, shed) = split_shed(shared, jobs, false);
         shared
             .metrics
             .coalesced
-            .fetch_add(parked.len() as u64, Ordering::Relaxed);
-        entry.extend(parked.into_iter().map(|(j, _)| j));
-        drop(inflight);
-        if !shed.is_empty() {
-            let upgraders = answer_shed(shared, &key, shed);
-            park_for_upgrade(shared, &key, upgraders);
-        }
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        entry.extend(jobs.into_iter().map(|(j, _)| j));
         return;
     }
     // No entry: the build either never ran or already completed. Builds land
@@ -2268,33 +1925,7 @@ fn park_group(
         return;
     }
     shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let (parked, shed) = split_shed(shared, jobs, true);
-    // A fully-shed group would register a *speculative* build nobody waits
-    // on. Parked waiters bound the build queue naturally (their clients
-    // block), but shed clients are answered in milliseconds and can submit
-    // cold keys faster than the pool retires them — past the backstop
-    // backlog, skip the registration so a sustained cold storm cannot grow
-    // the pool queue without bound. A later request for the key re-misses
-    // and registers the build then.
-    // A `notify: true` shed job is owed an upgrade, which only a registered
-    // build can deliver — its group is never eligible for the skip.
-    if parked.is_empty()
-        && !shed.iter().any(|(j, _)| j.req.notify)
-        && shared.inflight_builds.load(Ordering::SeqCst)
-            >= SPECULATIVE_BACKLOG_MAX.saturating_mul(shared.n_pool.max(1))
-    {
-        shared
-            .metrics
-            .shed_build_skips
-            .fetch_add(1, Ordering::Relaxed);
-        drop(inflight);
-        answer_shed(shared, &key, shed);
-        return;
-    }
-    // Otherwise register the build even if every job shed: the shed
-    // answers are stop-gaps, and the exact store must still land so
-    // follow-up queries for the key become cache hits.
-    inflight.insert(key.clone(), parked.into_iter().map(|(j, _)| j).collect());
+    inflight.insert(key.clone(), jobs.into_iter().map(|(j, _)| j).collect());
     shared.inflight_builds.fetch_add(1, Ordering::SeqCst);
     drop(inflight);
     {
@@ -2308,10 +1939,6 @@ fn park_group(
         });
     }
     shared.pre_notify.notify_one();
-    if !shed.is_empty() {
-        let upgraders = answer_shed(shared, &key, shed);
-        park_for_upgrade(shared, &key, upgraders);
-    }
 }
 
 /// Removes the key's in-flight entry and returns its parked jobs.
@@ -2395,11 +2022,9 @@ fn precompute_loop(shared: &Shared) {
         }));
         match outcome {
             Ok(store) => {
-                // Fold the observed build latency into the EWMA (α = 1/4)
-                // that prices the shed decision's projected wait; the first
-                // observation seeds it directly (floored at 1µs so a
-                // measured build never resets the "nothing observed yet"
-                // bootstrap state).
+                // Fold the observed build latency into the EWMA (α = 1/4);
+                // the first observation seeds it directly (floored at 1µs so
+                // a measured build never reads as "nothing observed yet").
                 shared
                     .metrics
                     .store_build
@@ -2413,13 +2038,6 @@ fn precompute_loop(shared: &Shared) {
                 // worker that finds no entry must be able to trust a cache
                 // re-probe (see `park_group`).
                 shared.cache.insert(task.key.clone(), Arc::new(store));
-                // The memoized shed bounds for the key are obsolete now —
-                // the next probe answers exactly from the store.
-                shared
-                    .shed_cache
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&task.key);
                 let jobs = take_parked(shared, &task.key);
                 requeue_parked(shared, jobs);
             }
@@ -2446,19 +2064,8 @@ fn precompute_loop(shared: &Shared) {
                     shared.pre_notify.notify_one();
                     continue;
                 }
-                shared
-                    .shed_cache
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&task.key);
                 let jobs = take_parked(shared, &task.key);
                 for job in &jobs {
-                    // Upgrade jobs already answered with the shed bound;
-                    // dropping them (no upgrade line) beats pairing their
-                    // successful reply with a late error.
-                    if job.upgrade {
-                        continue;
-                    }
                     let us = job.enqueued.elapsed().as_micros() as u64;
                     respond(shared, job, PredictResponse::internal(job.req.id, &msg, us));
                 }
@@ -2542,27 +2149,7 @@ mod tests {
         assert!(cfg.max_batch > 1);
         assert!(cfg.cache_bytes > 0);
         assert!(cfg.max_connections >= 1);
-        assert_eq!(cfg.miss_slo, None, "shedding must default off");
-    }
-
-    #[test]
-    fn shed_decision_limits_and_bootstrap() {
-        // No limit configured → never shed, whatever the load.
-        assert!(!shed_decision(usize::MAX, u64::MAX, None, None));
-        // No observed build latency yet → never shed (conservative
-        // bootstrap), even with a zero deadline.
-        assert!(!shed_decision(100, 0, Some(1), Some(0)));
-        // Projected wait 3 × 500µs = 1500µs against a 1000µs SLO → shed.
-        assert!(shed_decision(3, 500, Some(1_000), None));
-        // The same load against a roomier SLO → wait.
-        assert!(!shed_decision(3, 500, Some(2_000), None));
-        // A per-request deadline overrides the SLO in both directions.
-        assert!(shed_decision(3, 500, Some(2_000), Some(1_000)));
-        assert!(!shed_decision(3, 500, Some(1_000), Some(2_000)));
-        // Boundary: projected == limit is a wait, not a shed.
-        assert!(!shed_decision(2, 500, Some(1_000), None));
-        // Huge values must not overflow into a wrong answer.
-        assert!(shed_decision(usize::MAX, u64::MAX, Some(u64::MAX), None));
+        assert!(cfg.class_slo.is_empty(), "per-class QoS must default off");
     }
 
     #[test]
@@ -2701,26 +2288,18 @@ mod tests {
     }
 
     #[test]
-    fn job_deadline_us_resolution_order() {
+    fn effective_slo_resolution_order() {
         let mut slo = ClassSlo::default();
         slo.set(RequestClass::Interactive, Duration::from_millis(25));
-        let (tx, _rx) = mpsc::channel();
-        let mut job = Job {
-            req: PredictRequest::new(1, "S5", crate::ArchSpec::default()),
-            enqueued: Instant::now(),
-            tx: ResponseTx::Mpsc(tx),
-            parked: false,
-            deadline: None,
-            upgrade: false,
-        };
+        let mut req = PredictRequest::new(1, "S5", crate::ArchSpec::default());
         // Class SLO applies when the request carries no deadline…
-        assert_eq!(job.deadline_us(&slo), Some(25_000));
+        assert_eq!(effective_slo(&req, &slo), Some(Duration::from_millis(25)));
         // …and the request's own deadline_ms overrides it.
-        job.req.deadline_ms = Some(3);
-        assert_eq!(job.deadline_us(&slo), Some(3_000));
+        req.deadline_ms = Some(3);
+        assert_eq!(effective_slo(&req, &slo), Some(Duration::from_millis(3)));
         // A class without an SLO resolves to none.
-        job.req.deadline_ms = None;
-        job.req.class = RequestClass::Batch;
-        assert_eq!(job.deadline_us(&slo), None);
+        req.deadline_ms = None;
+        req.class = RequestClass::Batch;
+        assert_eq!(effective_slo(&req, &slo), None);
     }
 }

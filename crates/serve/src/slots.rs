@@ -6,23 +6,19 @@
 //! of [`SlotInner`]s: acquiring a slot pops a free index (no allocation when
 //! warm), the worker delivers through an [`SlotSender`], and dropping the
 //! [`SlotReceiver`] bumps the slot's **generation** and returns it to the
-//! free list. A parked, shed, or upgrade job can hold its sender arbitrarily
-//! long: if the receiver has moved on, the generation no longer matches and
-//! the late delivery is discarded instead of leaking into a recycled
-//! request. The legacy mpsc path stays available as a compatibility shim via
+//! free list. A parked job can hold its sender arbitrarily long: if the
+//! receiver has moved on, the generation no longer matches and the late
+//! delivery is discarded instead of leaking into a recycled request. The
+//! legacy mpsc path stays available as a compatibility shim via
 //! [`crate::service::ResponseTx`].
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::PredictResponse;
 
-/// One response slot: a tiny generation-tagged mailbox.
-///
-/// A slot holds at most a handful of messages per generation (the first
-/// answer plus an optional `{"type":"upgrade"}` push), so the queue keeps
-/// its capacity across recycles and warm deliveries never allocate.
+/// One response slot: a generation-tagged mailbox holding at most one
+/// response per generation, so warm deliveries never allocate.
 #[derive(Debug)]
 struct SlotInner {
     state: Mutex<SlotState>,
@@ -34,7 +30,7 @@ struct SlotState {
     /// Bumped every time the receiver releases the slot; senders carrying a
     /// stale generation are ignored.
     gen: u64,
-    msgs: VecDeque<PredictResponse>,
+    msg: Option<PredictResponse>,
 }
 
 /// A recycling slab of response slots. One per service.
@@ -58,10 +54,7 @@ impl SlotPool {
                 Some(idx) => (Arc::clone(&p.slots[idx as usize]), idx),
                 None => {
                     let slot = Arc::new(SlotInner {
-                        state: Mutex::new(SlotState {
-                            gen: 0,
-                            msgs: VecDeque::with_capacity(2),
-                        }),
+                        state: Mutex::new(SlotState { gen: 0, msg: None }),
                         cv: Condvar::new(),
                     });
                     p.slots.push(Arc::clone(&slot));
@@ -111,7 +104,7 @@ impl SlotReceiver {
     pub fn recv(&self) -> PredictResponse {
         let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(r) = st.msgs.pop_front() {
+            if let Some(r) = st.msg.take() {
                 return r;
             }
             st = self.slot.cv.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -123,7 +116,7 @@ impl SlotReceiver {
         let deadline = Instant::now() + timeout;
         let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(r) = st.msgs.pop_front() {
+            if let Some(r) = st.msg.take() {
                 return Some(r);
             }
             let now = Instant::now();
@@ -145,8 +138,8 @@ impl SlotReceiver {
             .state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .msgs
-            .pop_front()
+            .msg
+            .take()
     }
 }
 
@@ -155,9 +148,10 @@ impl Drop for SlotReceiver {
         {
             let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
             // Retire this generation: any sender still holding it becomes a
-            // no-op, and leftover messages never leak into the next request.
+            // no-op, and a leftover response never leaks into the next
+            // request.
             st.gen = st.gen.wrapping_add(1);
-            st.msgs.clear();
+            st.msg = None;
         }
         self.pool
             .inner
@@ -179,10 +173,12 @@ pub struct SlotSender {
 
 impl SlotSender {
     /// Delivers `resp` unless the receiver has already released the slot.
+    /// The service answers each request once, so a generation receives at
+    /// most one response.
     pub fn send(&self, resp: PredictResponse) {
         let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.gen == self.gen {
-            st.msgs.push_back(resp);
+            st.msg = Some(resp);
             self.slot.cv.notify_all();
         }
     }
@@ -193,18 +189,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delivers_in_order_and_recycles() {
+    fn delivers_then_ignores_a_late_sender_and_recycles() {
         let pool = Arc::new(SlotPool::default());
         let rx = pool.acquire();
         let tx = rx.sender();
         tx.send(PredictResponse::ok(1, 1.0, false, 5));
-        tx.send(PredictResponse::upgrade(1, 2.0, 9));
         assert_eq!(rx.recv().cpi, Some(1.0));
-        assert!(rx.recv().is_upgrade());
         drop(rx);
-        // Same slab slot is reused.
+        // A sender that outlives its receiver delivers into a retired
+        // generation: a no-op, even before the slot is handed out again.
+        tx.send(PredictResponse::ok(1, 2.0, false, 9));
+        // Same slab slot is reused, and the late delivery is not in it.
         let rx2 = pool.acquire();
         assert_eq!(pool.capacity(), 1);
+        assert!(rx2.try_recv().is_none(), "late delivery must not leak");
         drop(rx2);
     }
 

@@ -17,8 +17,6 @@ trap 'rm -f "$TMP"' EXIT
 
 BENCH_JSON=1 cargo bench -p concorde-bench --bench serve_throughput 2>/dev/null \
     | grep '^{' >"$TMP"
-BENCH_JSON=1 cargo bench -p concorde-bench --bench serve_shed 2>/dev/null \
-    | grep '^{' >>"$TMP" || true
 
 python3 - "$TMP" "$OUT" <<'PY'
 import json

@@ -43,13 +43,13 @@ fn usage_text() -> &'static str {
          concorde serve     [--addr HOST:PORT] [--model PATH] [--save-model PATH]\n             \
          [--profile quick|default] [--train-samples N] [--workers N]\n             \
          [--max-batch N] [--deadline-us N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
-         [--precompute-workers N] [--max-conns N] [--miss-slo-ms N]\n             \
+         [--precompute-workers N] [--max-conns N]\n             \
          [--slo CLASS=MS,…] [--metrics-addr HOST:PORT]\n             \
          [--sweep arch|quantized] [--encoding f32|f16|int8] [--preload FILE]…\n             \
          [--read-timeout-ms N] [--max-line-bytes N[k|m|g]] [--dynamic-workloads DIR]\n  \
          concorde predict   <workload> [--addr HOST:PORT] [--arch n1|big] [--set param=value …]\n             \
          [--trace N] [--start N] [--count N] [--deadline-ms N]\n             \
-         [--class interactive|batch] [--notify] [--schema-version N]"
+         [--class interactive|batch] [--schema-version N]"
 }
 
 fn usage() -> ! {
@@ -209,12 +209,19 @@ fn serve_config(args: &[String]) -> ServeConfig {
              `concorde inspect` approx_bytes or `{\"cmd\": \"stats\"}`",
         );
     }
-    for flag in ["--model-encoding", "--inline-miss"] {
+    let f32_pool = "the service always runs the f32 model and builds cache misses \
+                    on the precompute pool";
+    for (flag, why) in [
+        ("--model-encoding", f32_pool),
+        ("--inline-miss", f32_pool),
+        (
+            "--miss-slo-ms",
+            "every request gets the exact answer; use --slo interactive=N,batch=N \
+             to order cold builds by deadline",
+        ),
+    ] {
         if args.iter().any(|a| a == flag) {
-            bail(&format!(
-                "{flag} was removed: the service always runs the f32 model and \
-                 builds cache misses on the precompute pool"
-            ));
+            bail(&format!("{flag} was removed: {why}"));
         }
     }
     let sweep = match flag_value(args, "--sweep") {
@@ -238,15 +245,6 @@ fn serve_config(args: &[String]) -> ServeConfig {
         max_connections: parse_num(args, "--max-conns", defaults.max_connections),
         sweep,
         store_encoding: parse_encoding(args),
-        miss_slo: flag_value(args, "--miss-slo-ms").map(|v| {
-            let ms: u64 = v
-                .parse()
-                .unwrap_or_else(|_| bail(&format!("--miss-slo-ms `{v}` is not a number")));
-            if ms == 0 {
-                bail("--miss-slo-ms must be > 0 (omit the flag to disable shedding)");
-            }
-            Duration::from_millis(ms)
-        }),
         class_slo: flag_value(args, "--slo")
             .map(|v| ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}"))))
             .unwrap_or_default(),
@@ -393,11 +391,7 @@ fn print_response(resp: &PredictResponse) {
         (Some(cpi), _) => println!(
             "id {:>4}: CPI {cpi:.4}  ({}, {} µs)",
             resp.id,
-            if resp.is_upgrade() {
-                "exact, upgraded"
-            } else if resp.approx {
-                "analytic min-bound, shed"
-            } else if resp.cached {
+            if resp.cached {
                 "cache hit"
             } else {
                 "precomputed"
@@ -520,8 +514,7 @@ fn main() {
             let profile = ReproProfile::default_repro();
             let t0 = std::time::Instant::now();
             // `--fast` runs the analytic models at the queried architecture
-            // only (the serving shed path); the store route sweeps the full
-            // per-arch grid first. Both produce the identical bound.
+            // only; the store route sweeps the full per-arch grid first. Both produce the identical bound.
             let (bound, how) = if args.iter().any(|a| a == "--fast") {
                 (
                     analytic_min_bound_cpi(&w, &r, &arch, &profile),
@@ -767,25 +760,17 @@ fn main() {
                 service.config().effective_cache_shards(),
                 service.config().cache_bytes,
                 service.config().store_encoding,
-                match service.config().miss_slo {
-                    Some(d) => format!(
-                        "{}ms (backlogged misses shed to the analytic bound)",
-                        d.as_millis()
-                    ),
-                    None if !service.config().class_slo.is_empty() => {
+                {
+                    let slo = &service.config().class_slo;
+                    if slo.is_empty() {
+                        "off (misses park until their store lands)".to_string()
+                    } else {
                         let per_class: Vec<String> = RequestClass::ALL
                             .iter()
-                            .filter_map(|c| {
-                                service
-                                    .config()
-                                    .class_slo
-                                    .get(*c)
-                                    .map(|d| format!("{c}={}ms", d.as_millis()))
-                            })
+                            .filter_map(|c| slo.get(*c).map(|d| format!("{c}={}ms", d.as_millis())))
                             .collect();
                         format!("per-class ({})", per_class.join(", "))
                     }
-                    None => "off (misses park until their store lands)".to_string(),
                 },
             );
             eprintln!(
@@ -833,7 +818,12 @@ fn main() {
                     bail(&format!("unknown --class `{v}` (interactive | batch)"))
                 }),
             };
-            let notify = args.iter().any(|a| a == "--notify");
+            if args.iter().any(|a| a == "--notify") {
+                bail(
+                    "--notify was removed: every request gets one exact answer, \
+                     so there is no later upgrade to wait for",
+                );
+            }
             let schema_version: Option<u32> = flag_value(&args, "--schema-version").map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| bail(&format!("--schema-version `{v}` is not a number")))
@@ -848,7 +838,6 @@ fn main() {
                     arch: spec.clone(),
                     deadline_ms,
                     class,
-                    notify,
                     schema_version,
                 })
                 .collect();
@@ -868,19 +857,6 @@ fn main() {
                     .unwrap_or_else(|e| bail(&format!("request failed: {e}")));
                 for r in &resps {
                     print_response(r);
-                }
-                // Each shed answer to a --notify request owes one pushed
-                // upgrade line; collect them before disconnecting.
-                let owed = if notify {
-                    resps.iter().filter(|r| r.approx).count()
-                } else {
-                    0
-                };
-                for _ in 0..owed {
-                    match client.wait_upgrade() {
-                        Ok(up) => print_response(&up),
-                        Err(e) => bail(&format!("waiting for upgrade: {e}")),
-                    }
                 }
             } else {
                 eprintln!("[predict] no --addr; starting an in-process service");

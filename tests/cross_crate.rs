@@ -77,6 +77,28 @@ fn min_bound_correlates_with_simulated_cpi_across_workloads() {
 }
 
 #[test]
+fn direct_min_bound_matches_store_min_bound_bitwise() {
+    // `concorde bound --fast` computes the min-bound WITHOUT building a
+    // feature store; for an architecture on the store's grid the two
+    // routes must agree bitwise — the fast answer is the same number the
+    // full store would have bounded with.
+    let profile = ReproProfile::quick();
+    let spec = by_id("S5").unwrap();
+    let full = generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
+    let (w, r) = full.instrs.split_at(profile.warmup_len);
+    for arch in [MicroArch::arm_n1(), MicroArch::big_core()] {
+        let store = FeatureStore::precompute(w, r, &SweepConfig::for_arch(&arch), &profile);
+        let via_store = store.min_bound_cpi(&arch);
+        let direct = analytic_min_bound_cpi(w, r, &arch, &profile);
+        assert_eq!(
+            via_store.to_bits(),
+            direct.to_bits(),
+            "store {via_store} vs direct {direct}"
+        );
+    }
+}
+
+#[test]
 fn feature_store_is_finite_for_random_architectures() {
     let profile = ReproProfile::quick();
     let (w, r) = warmed("P9", profile.warmup_len, profile.region_len);

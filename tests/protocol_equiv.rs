@@ -97,6 +97,8 @@ fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
         fields.push(format!("\"class\":\"{class}\""));
     }
     if rng.chance(25) {
+        // The retired `notify` key: canonical lines that still carry it must
+        // decode on the fast path, skipped like any other unknown key.
         let b = if rng.chance(50) { "true" } else { "false" };
         fields.push(format!("\"notify\":{b}"));
     }
@@ -285,7 +287,7 @@ proptest! {
         .filter(|v| v.is_finite());
         let strings: &[Option<&str>] = &[
             None,
-            Some("shed"),
+            Some("internal"),
             Some("schema_mismatch"),
             Some("unknown workload `Z\u{1F600}`"),
             Some("quote\" backslash\\ newline\n tab\t ctrl\u{0001} done"),
@@ -299,7 +301,7 @@ proptest! {
             cached: rng.chance(50),
             approx: rng.chance(50),
             reason: pick(&mut rng),
-            kind: [None, Some("upgrade".to_string()), Some("error".to_string())]
+            kind: [None, Some("busy".to_string()), Some("error".to_string())]
                 [rng.below(3) as usize]
                 .clone(),
             micros: rng.below(1 << 40),
@@ -308,5 +310,47 @@ proptest! {
         resp.encode_json_into(&mut fast);
         let slow = serde_json::to_string(&resp).expect("serialize response");
         prop_assert_eq!(fast, slow);
+    }
+}
+
+#[test]
+fn notify_key_changes_nothing_on_either_decoder() {
+    // Clients written against the retired notify/upgrade push may still
+    // send `"notify": true`; the line must decode exactly as without it, on
+    // both the fast decoder and the `Value` path — one request, one reply.
+    let lines = [
+        r#"{"id":3,"workload":"S5","arch":{"base":"n1"}}"#,
+        r#"{"id":4,"workload":"C1","start":8192,"deadline_ms":0,"class":"batch"}"#,
+    ];
+    for plain in lines {
+        let body = plain.strip_suffix('}').unwrap();
+        for notified in [
+            format!(r#"{body},"notify":true}}"#),
+            format!(r#"{{"notify":true,{}"#, &plain[1..]),
+            format!("[{body},\"notify\":true}},{plain}]"),
+        ] {
+            let batch = notified.starts_with('[');
+            let expected: Vec<serde_json::Value> = if batch {
+                vec![req_value(&serde_json::from_str(plain).unwrap()); 2]
+            } else {
+                vec![req_value(&serde_json::from_str(plain).unwrap())]
+            };
+            let mut fast = Vec::new();
+            let shape = decode_request_line(&notified, &mut fast);
+            let want_shape = if batch {
+                DecodedShape::Batch
+            } else {
+                DecodedShape::Single
+            };
+            assert_eq!(shape, Ok(want_shape), "fast path declined: {notified}");
+            let fast: Vec<_> = fast.iter().map(req_value).collect();
+            assert_eq!(fast, expected, "fast decoder: {notified}");
+            let slow: Vec<_> = match slow_path(&notified) {
+                Slow::Single(r) => vec![req_value(&r)],
+                Slow::Batch(rs) => rs.iter().map(req_value).collect(),
+                Slow::Cmd | Slow::Reject => panic!("value path refused: {notified}"),
+            };
+            assert_eq!(slow, expected, "value path: {notified}");
+        }
     }
 }

@@ -150,7 +150,7 @@ fn chaos_faults_never_strand_requests_or_corrupt_answers() {
             let cpi = resp
                 .cpi
                 .unwrap_or_else(|| panic!("baseline id {} errored: {:?}", resp.id, resp.error));
-            assert!(!resp.approx, "no shedding configured");
+            assert!(!resp.approx, "every answer is exact");
             bits.insert(answer_key(req), cpi.to_bits());
         }
         bits
@@ -194,7 +194,7 @@ fn chaos_faults_never_strand_requests_or_corrupt_answers() {
                 for (req, resp) in chunk.iter().zip(got) {
                     match resp.cpi {
                         Some(cpi) => {
-                            assert!(!resp.approx, "no shedding configured");
+                            assert!(!resp.approx, "every answer is exact");
                             assert_eq!(
                                 cpi.to_bits(),
                                 baseline[&answer_key(req)],

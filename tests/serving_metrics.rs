@@ -1,9 +1,10 @@
 //! Observability and QoS: the Prometheus `/metrics` exposition (validated
-//! by a strict parser), EDF miss scheduling, shed→upgrade notification, and
-//! the schema-version pin.
+//! by a strict parser), EDF miss scheduling, the one exact answer every
+//! request gets whatever its deadline, the backlog/parked stats snapshot,
+//! and the schema-version pin.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::TryRecvError;
 use std::time::Duration;
 
@@ -11,8 +12,7 @@ use concorde_suite::core::schema::SCHEMA_VERSION;
 use concorde_suite::prelude::*;
 use concorde_suite::serve::MetricsSnapshot;
 
-/// Small but real model + profile shared by the service tests (the same
-/// fixture `tests/serving_shed.rs` uses).
+/// Small but real model + profile shared by the service tests.
 fn tiny_service_parts() -> (ConcordePredictor, ReproProfile) {
     let mut profile = ReproProfile::quick();
     profile.region_len = 2_048;
@@ -347,12 +347,9 @@ fn http_metrics_endpoint_serves_valid_exposition() {
         ("concorde_requests_rejected_total", "counter"),
         ("concorde_responses_total", "counter"),
         ("concorde_errors_total", "counter"),
-        ("concorde_shed_total", "counter"),
-        ("concorde_upgrades_total", "counter"),
         ("concorde_schema_mismatch_total", "counter"),
         ("concorde_coalesced_total", "counter"),
         ("concorde_precomputes_total", "counter"),
-        ("concorde_shed_build_skips_total", "counter"),
         ("concorde_batches_total", "counter"),
         ("concorde_busy_rejected_total", "counter"),
         ("concorde_cache_hits_total", "counter"),
@@ -378,6 +375,14 @@ fn http_metrics_endpoint_serves_valid_exposition() {
             Some(kind),
             "family {family} missing or mistyped"
         );
+    }
+    // The removed load-shedding series stay gone.
+    for family in [
+        "concorde_shed_total",
+        "concorde_upgrades_total",
+        "concorde_shed_build_skips_total",
+    ] {
+        assert!(!types.contains_key(family), "{family} is back");
     }
 
     // Per-class labelling is live: both classes appear on the latency
@@ -442,16 +447,41 @@ fn stalled_scrape_client_honors_configured_read_timeout() {
          configured 100 ms read timeout"
     );
     drop(stalled);
+
+    // A dribbling scraper sends one byte every 50 ms — inside each 100 ms
+    // read timeout — for ~3 s and never finishes its head. The head has one
+    // total deadline, so the probe behind it still waits at most ~100 ms,
+    // not the ~3 s the dribble lasts.
+    let (connected_tx, connected_rx) = std::sync::mpsc::channel();
+    let dribbler = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(addr).expect("connect dribbling client");
+        connected_tx.send(()).unwrap();
+        for _ in 0..60 {
+            if s.write_all(b"a").is_err() {
+                break; // the server cut the connection off
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    connected_rx.recv().unwrap();
+    let t0 = std::time::Instant::now();
+    let (status, _, _) = http_get(addr, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n");
+    let elapsed = t0.elapsed();
+    assert_eq!(status, "HTTP/1.1 200 OK", "probe must still be answered");
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "probe took {elapsed:?}; a dribbling client held the loop past the \
+         configured 100 ms read timeout"
+    );
+    dribbler.join().unwrap();
 }
 
 #[test]
 fn edf_builds_tight_deadline_key_before_earlier_parked_batch_key() {
     let (model, profile) = tiny_service_parts();
     let mut cfg = small_config();
-    // The interactive SLO supplies the EDF deadline. The EWMA is never
-    // seeded in this test (no build completes before the parks below), so
-    // the conservative shed bootstrap keeps everything parked — the SLO
-    // acts purely as a scheduling deadline here.
+    // The interactive SLO supplies the EDF deadline; it only orders the
+    // builds, every answer is exact.
     cfg.class_slo
         .set(RequestClass::Interactive, Duration::from_millis(50));
     let service = PredictionService::start(model, profile, cfg);
@@ -502,45 +532,48 @@ fn edf_builds_tight_deadline_key_before_earlier_parked_batch_key() {
         "batch key was built before the deadline-carrying interactive key"
     );
     let b_resp = b_rx.recv().unwrap();
-    assert!(!b_resp.approx, "nothing may shed with an unseeded EWMA");
+    assert!(!b_resp.approx, "every answer is exact");
     let _ = b_rx2.recv().unwrap();
-    assert_eq!(service.metrics().shed, 0);
+}
+
+/// Submits a long cold build and waits until the single pool worker has
+/// popped it, so every later miss queues behind it.
+fn pin_pool(service: &PredictionService) -> std::sync::mpsc::Receiver<PredictResponse> {
+    let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
+    long.start = 4_096;
+    long.len = long_len();
+    let rx = service.client().submit(long).unwrap();
+    wait_for(service, "pool picked up the pinning build", |m| {
+        m.miss_backlog == 0 && m.inflight_builds == 1
+    });
+    rx
 }
 
 #[test]
-fn notify_shed_request_receives_exact_upgrade_on_same_channel() {
+fn zero_deadline_cold_request_behind_a_pinned_pool_gets_one_exact_answer() {
     let (model, profile) = tiny_service_parts();
     let direct_model = model.clone();
     let service = PredictionService::start(model, profile.clone(), small_config());
     let client = service.client();
 
-    // Seed the EWMA (first-ever build never sheds), then pin the pool.
+    // One finished build seeds the build-latency EWMA, then the pool is
+    // pinned: the zero-deadline request below has a real backlog ahead.
     let mut seed = PredictRequest::new(0, "S5", ArchSpec::base("n1"));
     seed.deadline_ms = Some(0);
     assert!(!client.predict(seed).unwrap().approx);
-    let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
-    long.start = 4_096;
-    long.len = long_len();
-    let long_rx = client.submit(long).unwrap();
+    assert!(service.metrics().build_ewma_us > 0);
+    let long_rx = pin_pool(&service);
 
-    // A zero-deadline cold notify request: shed now, upgraded later.
+    // A zero-deadline cold request waits for its store and is answered
+    // once, exactly: bitwise the direct model prediction.
     let mut tight = PredictRequest::new(2, "C1", ArchSpec::base("big"));
     tight.start = 8_192;
     tight.deadline_ms = Some(0);
-    tight.notify = true;
     let rx = client.submit(tight.clone()).unwrap();
-    let first = rx.recv().unwrap();
-    assert!(first.approx, "backlogged zero-deadline miss must shed");
-    assert_eq!(first.reason.as_deref(), Some("shed"));
-    assert!(!first.is_upgrade());
-
-    // The SAME channel then delivers the pushed upgrade once the store
-    // lands: typed, exact, and bitwise equal to the direct model answer.
-    let up = rx.recv().expect("upgrade line must follow a notify shed");
-    assert!(up.is_upgrade());
-    assert_eq!(up.id, 2);
-    assert!(!up.approx && !up.cached && up.error.is_none());
-    assert!(up.micros >= first.micros, "upgrade spans the full wait");
+    let resp = rx.recv().unwrap();
+    assert_eq!(resp.id, 2);
+    assert!(!resp.approx && !resp.cached && resp.error.is_none());
+    assert!(resp.reason.is_none() && resp.kind.is_none());
     let arch = tight.arch.resolve().unwrap();
     let spec = by_id("C1").unwrap();
     let warm_start = tight.start - profile.warmup_len as u64;
@@ -553,20 +586,26 @@ fn notify_shed_request_receives_exact_upgrade_on_same_channel() {
     let (w, r) = full.instrs.split_at(profile.warmup_len);
     let store = FeatureStore::precompute(w, r, &SweepConfig::for_arch(&arch), &profile);
     assert_eq!(
-        up.cpi.unwrap().to_bits(),
+        resp.cpi.unwrap().to_bits(),
         direct_model.predict(&store, &arch).to_bits(),
-        "upgrade must carry the exact model prediction"
+        "the answer must be the exact model prediction"
     );
+    // The job is gone once answered: no second message ever follows.
+    assert!(rx.recv().is_err(), "a request is answered exactly once");
 
+    // The same zero-deadline query is now a cache hit with the same bits.
     let _ = long_rx.recv().unwrap();
+    let hit = client.predict(tight).unwrap();
+    assert!(hit.cached && !hit.approx);
+    assert_eq!(hit.cpi.unwrap().to_bits(), resp.cpi.unwrap().to_bits());
     let m = service.metrics();
-    assert_eq!(m.shed, 1);
-    assert_eq!(m.upgrades, 1);
+    assert_eq!(m.completed, 4);
     assert_eq!(m.errored, 0);
+    assert_eq!(m.parked, 0);
 }
 
 #[test]
-fn tcp_notify_shed_pushes_upgrade_line() {
+fn tcp_zero_deadline_request_gets_one_reply_in_request_order() {
     let (model, profile) = tiny_service_parts();
     let service = Box::leak(Box::new(PredictionService::start(
         model,
@@ -574,7 +613,7 @@ fn tcp_notify_shed_pushes_upgrade_line() {
         small_config(),
     )));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+    let addr = listener.local_addr().unwrap();
     let service: &PredictionService = service;
     std::thread::spawn(move || {
         let _ = service.serve_tcp(listener);
@@ -582,45 +621,146 @@ fn tcp_notify_shed_pushes_upgrade_line() {
     let client = service.client();
 
     // Seed the EWMA and pin the pool from the in-process side; the wire
-    // client then only sees the notify round trip under test.
+    // connection then only sees the round trips under test.
     let mut seed = PredictRequest::new(0, "S5", ArchSpec::base("n1"));
     seed.deadline_ms = Some(0);
     assert!(!client.predict(seed).unwrap().approx);
-    let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
-    long.start = 4_096;
-    long.len = long_len();
-    let long_rx = client.submit(long).unwrap();
+    let long_rx = pin_pool(service);
 
-    let mut tcp = TcpClient::connect(&addr).expect("connect");
-    let mut tight = PredictRequest::new(7, "C1", ArchSpec::base("n1"));
-    tight.start = 8_192;
-    tight.deadline_ms = Some(0);
-    tight.notify = true;
-    let first = tcp.predict(&tight).unwrap();
-    assert!(
-        first.approx,
-        "wire request must shed like an in-process one"
+    // A raw wire line, carrying the retired `notify` key as well: it is
+    // skipped, and the one reply is the exact answer.
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |line: &str| {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let reply = roundtrip(
+        r#"{"id":7,"workload":"C1","start":8192,"arch":{"base":"n1"},"deadline_ms":0,"notify":true}"#,
     );
+    let first: PredictResponse = serde_json::from_str(&reply).unwrap();
     assert_eq!(first.id, 7);
+    assert!(!first.approx && !first.cached && first.error.is_none());
+    assert!(first.cpi.unwrap() > 0.0);
 
-    // The pushed `{"type":"upgrade"}` line arrives on the same connection.
-    let up = tcp.wait_upgrade().expect("pushed upgrade line");
-    assert!(up.is_upgrade());
-    assert_eq!(up.id, 7);
-    assert!(up.cpi.unwrap() > 0.0 && !up.approx);
-
-    // The TCP metrics command serves the same strict exposition the HTTP
-    // endpoint does, with the upgrade on the books.
-    let text = tcp.metrics_text().unwrap();
-    let types = validate_exposition(&text);
+    // The very next line on the connection answers the next request: the
+    // TCP metrics command, serving the same strict exposition the HTTP
+    // endpoint does.
+    let reply = roundtrip(r#"{"cmd":"metrics","format":"prometheus"}"#);
+    let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    let text = v
+        .get("text")
+        .and_then(serde_json::Value::as_str)
+        .unwrap_or_else(|| panic!("expected the metrics reply, got {reply}"));
+    let types = validate_exposition(text);
     assert_eq!(
-        types.get("concorde_upgrades_total").map(String::as_str),
+        types.get("concorde_responses_total").map(String::as_str),
         Some("counter")
     );
-    assert!(text.contains("\nconcorde_upgrades_total 1\n"), "{text}");
-    assert!(text.contains("concorde_shed_total{class=\"interactive\"} 1"));
 
     let _ = long_rx.recv().unwrap();
+}
+
+#[test]
+fn stats_report_backlog_and_parked_as_a_consistent_snapshot() {
+    let (model, profile) = tiny_service_parts();
+    let service = PredictionService::start(
+        model,
+        profile,
+        ServeConfig {
+            workers: 2,
+            max_batch: 1,
+            batch_deadline: Duration::from_micros(1),
+            precompute_workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let client = service.client();
+
+    // Pin the single pool worker on A, then queue B (1 waiter) and C
+    // (3 coalesced waiters on one key) behind it.
+    let mut a = PredictRequest::new(0, "S5", ArchSpec::base("n1"));
+    a.len = long_len();
+    let a_rx = client.submit(a).unwrap();
+    // Wait until the pool has *popped* A (queue empty, one build in
+    // flight): B and C below then deterministically queue behind it —
+    // otherwise the pool could pick hot C first and finish it immediately.
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        let m = service.metrics();
+        if m.miss_backlog == 0 && m.inflight_builds == 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pool never picked up the pinning build"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut b = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
+    b.start = 65_536;
+    b.len = 512;
+    let b_rx = client.submit(b).unwrap();
+    let c_rxs: Vec<_> = (0..3u64)
+        .map(|i| {
+            let mut c = PredictRequest::new(10 + i, "C1", ArchSpec::base("n1"));
+            c.start = 65_536;
+            c.len = 512;
+            client.submit(c).unwrap()
+        })
+        .collect();
+
+    // While A builds: 5 parked jobs (A's own + B + C×3) and 2 queued
+    // builds (B, C) — and the two gauges must come from ONE lock-consistent
+    // snapshot, so we must observe exactly this pair, never (5, 0) or
+    // (0, 2) shear. Poll for the steady state, then re-assert the pair
+    // within single snapshots.
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    let steady = loop {
+        let m = service.metrics();
+        if m.parked == 5 && m.miss_backlog == 2 {
+            break m;
+        }
+        // If A already finished the test lost its window; only possible on
+        // a wildly slow submit path.
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never observed the pinned steady state (last: parked {} backlog {})",
+            m.parked,
+            m.miss_backlog
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(steady.inflight_builds, 3, "A running + B + C registered");
+    for _ in 0..10 {
+        let stats = service.stats();
+        let (p, q) = (stats.metrics.parked, stats.metrics.miss_backlog);
+        // Every snapshot while A builds shows a consistent pair: all
+        // parked jobs' builds are accounted either queued or running.
+        assert!(
+            (p, q) == (5, 2),
+            "inconsistent snapshot: parked {p}, backlog {q}"
+        );
+    }
+
+    // Drain completely: afterwards every gauge in one snapshot is zero.
+    let _ = a_rx.recv().unwrap();
+    let _ = b_rx.recv().unwrap();
+    for rx in c_rxs {
+        let _ = rx.recv().unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        let m = service.metrics();
+        if m.parked == 0 && m.miss_backlog == 0 && m.inflight_builds == 0 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "drain never settled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]

@@ -181,7 +181,7 @@ fn soak_churn_drains_clean_with_stable_answers() {
                     let cpi = resp
                         .cpi
                         .unwrap_or_else(|| panic!("id {} errored: {:?}", resp.id, resp.error));
-                    assert!(!resp.approx, "no shedding configured in this soak");
+                    assert!(!resp.approx, "every answer is exact");
                     // Bitwise-stable exact answers across cache hits, cold
                     // builds, and evict-rebuild cycles alike.
                     let bits = cpi.to_bits();
