@@ -8,7 +8,10 @@
 //!    micro-batching, and the worker pool's batched forward on the service
 //!    side. Expected shape: batch=1 pays the queueing tax; by batch ≥ 16
 //!    the batched path's throughput (elem/s) exceeds the sequential
-//!    baseline.
+//!    baseline. `lone_warm_x4_clients` is the multi-client case for
+//!    work-conserving batching: four client threads each send lone warm
+//!    requests closed-loop, so batches can only form from requests that
+//!    arrive while a worker is busy.
 //!
 //! 2. `serve_cold_warm` — the mixed cold/warm shape the precompute pool
 //!    exists for: each iteration fires one *cold*-region request
@@ -18,7 +21,6 @@
 //!    hit-path p50 under cold-region churn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -88,11 +90,9 @@ fn bench_serve(c: &mut Criterion) {
         s.profile.clone(),
         ServeConfig {
             workers: 4,
-            // Small micro-batches: request waves split into full tiles that
-            // flush without waiting for the deadline, and on multi-core hosts
-            // they also fan out across the worker pool.
+            // Small micro-batches: request waves split into full tiles, and
+            // on multi-core hosts they also fan out across the worker pool.
             max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
             sweep: SweepScope::Quantized,
             ..ServeConfig::default()
         },
@@ -126,6 +126,27 @@ fn bench_serve(c: &mut Criterion) {
             b.iter(|| client.predict_many(reqs.clone()).expect("batch prediction"));
         });
     }
+
+    // Four closed-loop clients, each sending lone warm requests.
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 16;
+    g.throughput(Throughput::Elements((CLIENTS * PER_CLIENT) as u64));
+    g.bench_function("lone_warm_x4_clients", |b| {
+        let reqs = requests(PER_CLIENT);
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..CLIENTS {
+                    let client = service.client();
+                    let reqs = &reqs;
+                    scope.spawn(move || {
+                        for req in reqs {
+                            client.predict(req.clone()).expect("lone prediction");
+                        }
+                    });
+                }
+            });
+        });
+    });
     g.finish();
 }
 
@@ -165,7 +186,6 @@ fn bench_cold_warm(c: &mut Criterion) {
             workers: 1,
             precompute_workers: 1,
             max_batch: 16,
-            batch_deadline: Duration::from_micros(200),
             // Budget for ~2 stores on one shard: the hot warm store stays
             // resident while each landing cold store evicts the previous
             // one, so the cold keys in the ring below stay genuinely cold

@@ -94,8 +94,8 @@ fn bench_speed(c: &mut Criterion) {
 
 /// The raw MLP forward at serving batch sizes, dispatched kernel vs the
 /// pinned scalar fallback (`forced_scalar`) — the SIMD speedup number,
-/// isolated from feature assembly. Runs on one thread, so the thread-local
-/// guard covers the whole measurement.
+/// isolated from feature assembly — plus a batch of one (the GEMV). Runs on
+/// one thread, so the thread-local guard covers the whole measurement.
 fn bench_mlp_kernels(c: &mut Criterion) {
     use criterion::Throughput;
     let mut rng = ChaCha12Rng::seed_from_u64(7);
@@ -117,6 +117,11 @@ fn bench_mlp_kernels(c: &mut Criterion) {
     g.bench_function("batch128/scalar_forced", |b| {
         let _guard = concorde_ml::forced_scalar();
         b.iter(|| mlp.predict_batch_into(&xs, &mut out, &mut scratch));
+    });
+    // A lone request: the per-sample GEMV instead of a tile.
+    g.throughput(Throughput::Elements(1));
+    g.bench_function(format!("batch1/{}", concorde_ml::kernel_name()), |b| {
+        b.iter(|| mlp.predict_batch_into(&xs[..512], &mut out[..1], &mut scratch))
     });
     g.finish();
 }

@@ -29,7 +29,7 @@ impl AdamW {
     pub fn new(model: &Mlp, lr: f32, weight_decay: f32) -> Self {
         let zeros = || {
             model
-                .layers
+                .layers()
                 .iter()
                 .map(|l| (vec![0.0f32; l.w.len()], vec![0.0f32; l.b.len()]))
                 .collect::<Vec<_>>()
@@ -60,7 +60,7 @@ impl AdamW {
     pub fn apply(&mut self, model: &mut Mlp, g: &MlpGrads, lr_scale: f32) {
         assert_eq!(
             g.layers.len(),
-            model.layers.len(),
+            model.layers().len(),
             "gradient shape mismatch"
         );
         self.step += 1;
@@ -69,7 +69,7 @@ impl AdamW {
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
 
-        for (li, layer) in model.layers.iter_mut().enumerate() {
+        for (li, layer) in model.layers_mut().iter_mut().enumerate() {
             let (gw, gb) = &g.layers[li];
             let (mw, mb) = &mut self.m[li];
             let (vw, vb) = &mut self.v[li];
@@ -168,13 +168,13 @@ mod tests {
     fn weight_decay_shrinks_weights() {
         let mut rng = ChaCha12Rng::seed_from_u64(9);
         let mut model = Mlp::new(&[2, 1], &mut rng);
-        let norm_before: f32 = model.layers[0].w.iter().map(|w| w * w).sum();
+        let norm_before: f32 = model.layers()[0].w.iter().map(|w| w * w).sum();
         let mut opt = AdamW::new(&model, 0.01, 0.5);
         let g = MlpGrads::zeros_like(&model); // zero gradients: decay only
         for _ in 0..50 {
             opt.apply(&mut model, &g, 1.0);
         }
-        let norm_after: f32 = model.layers[0].w.iter().map(|w| w * w).sum();
+        let norm_after: f32 = model.layers()[0].w.iter().map(|w| w * w).sum();
         assert!(
             norm_after < norm_before * 0.9,
             "{norm_before} -> {norm_after}"

@@ -1,11 +1,15 @@
 //! Runtime-dispatched SIMD microkernels for the inference hot path: the MLP
-//! tile forward pass and feature standardization ([`standardize_rows`]).
+//! tile forward pass, the per-sample GEMV, and feature standardization
+//! ([`standardize_rows`]).
 //!
 //! The batched forward pass ([`crate::Mlp::predict_batch_into`]) evaluates
-//! one transposed tile of [`crate::Mlp::LANES`] samples per weight pass.
-//! This module picks the widest kernel the host supports at first use —
-//! AVX2+FMA on x86_64, NEON on aarch64 — and falls back to the portable
-//! scalar tile otherwise.
+//! each full tile of [`crate::Mlp::LANES`] samples in one transposed weight
+//! pass ([`tile_forward`]) and every sample outside a full tile — a batch of
+//! one, or the ragged tail of any batch — through one per-sample GEMV
+//! ([`gemv_forward`]) that vectorizes across output neurons instead of
+//! samples. This module picks the widest kernel the host supports at first
+//! use — AVX2+FMA on x86_64, NEON on aarch64 — and falls back to the
+//! portable scalar code otherwise.
 //!
 //! Numerical contract:
 //!
@@ -17,9 +21,15 @@
 //!   multiply-add, which rounds once per `w·x + acc` instead of twice. The
 //!   result is *not* bitwise-equal to scalar; it is pinned by max-ULP-bounded
 //!   equivalence tests instead (`tests/kernel_dispatch.rs`).
-//! - A given kernel is deterministic and batch-composition-independent:
-//!   partial tiles are zero-padded, never routed to a different code path,
-//!   so a sample's bits do not depend on what else shared its micro-batch.
+//! - A given kernel is deterministic and batch-composition-independent. The
+//!   GEMV runs each output's exact tile chain — `acc = b`, then
+//!   `acc = fma(w, x, acc)` (SIMD) or `acc += w·x` (scalar) for `k` left to
+//!   right, then the tile's ReLU — only spread across output neurons rather
+//!   than samples, so a sample's bits are the same whether it lands in a
+//!   full tile or in the GEMV, and do not depend on what else shared its
+//!   micro-batch. Outputs left over after the last full group of 8 (e.g. an
+//!   `out_dim = 1` head) run the same chain one output at a time with
+//!   [`f32::mul_add`] (SIMD) or `acc += w·x` (scalar).
 //! - Feature **standardization** ([`standardize_rows`]) is bitwise-identical
 //!   across every kernel and platform. Its `ln(1 + x)` is the in-tree
 //!   [`log1p`] (no libm, no FMA; Rust never contracts a separate multiply
@@ -137,21 +147,20 @@ pub fn detected_kernel() -> KernelKind {
     detect()
 }
 
-/// Computes one transposed tile with the given SIMD kernel: for each output
-/// `o` of the layer, `LANES` simultaneous dot products
+/// Computes one full transposed tile with the given SIMD kernel: for each
+/// output `o` of the layer, `LANES` simultaneous dot products
 ///
 /// ```text
 /// dst[(base + t) * out_dim + o] = relu?( b[o] + Σ_k w[o·in_dim + k] · tile[k·LANES + t] )
 /// ```
 ///
-/// for lanes `t < live` (padding lanes are computed but not written back).
-/// `tile` is the transposed activation tile (`in_dim × LANES`, lane-major);
-/// `dst` is the row-major output activation buffer.
+/// for every lane `t < LANES`. `tile` is the transposed activation tile
+/// (`in_dim × LANES`, lane-major); `dst` is the row-major output activation
+/// buffer.
 ///
 /// # Panics
 ///
-/// Panics (debug) on shape mismatches; callers are the crate-internal
-/// forward passes which size everything from the layer.
+/// Panics on shape mismatches (the SIMD code indexes unchecked).
 ///
 /// Calling this with [`KernelKind::Scalar`] is a logic error — the scalar
 /// tile lives in `mlp.rs` so its bit-pinned code path stays in one place.
@@ -165,28 +174,99 @@ pub(crate) fn tile_forward(
     tile: &[f32],
     dst: &mut [f32],
     base: usize,
-    live: usize,
     relu: bool,
 ) {
-    debug_assert_eq!(w.len(), in_dim * out_dim);
-    debug_assert_eq!(b.len(), out_dim);
-    debug_assert!(tile.len() >= in_dim * crate::Mlp::LANES);
-    debug_assert!((1..=crate::Mlp::LANES).contains(&live));
-    debug_assert!(dst.len() >= (base + live) * out_dim);
+    assert_eq!(w.len(), in_dim * out_dim);
+    assert_eq!(b.len(), out_dim);
+    assert!(tile.len() >= in_dim * crate::Mlp::LANES);
+    assert!(dst.len() >= (base + crate::Mlp::LANES) * out_dim);
     match kind {
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2Fma => unsafe {
             // SAFETY: dispatch only selects Avx2Fma after runtime detection
             // of avx2+fma; slice bounds are checked above.
-            x86::tile_forward_avx2(w, b, in_dim, out_dim, tile, dst, base, live, relu);
+            x86::tile_forward_avx2(w, b, in_dim, out_dim, tile, dst, base, relu);
         },
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => unsafe {
             // SAFETY: NEON is mandatory on aarch64; bounds checked above.
-            neon::tile_forward_neon(w, b, in_dim, out_dim, tile, dst, base, live, relu);
+            neon::tile_forward_neon(w, b, in_dim, out_dim, tile, dst, base, relu);
         },
         _ => unreachable!("scalar tiles are evaluated in mlp.rs, not dispatched here"),
     }
+}
+
+/// The outputs of a layer the GEMV evaluates in groups of 8 (the rest run
+/// one at a time): `out_dim` rounded down to a multiple of 8.
+pub(crate) fn gemv_grouped(out_dim: usize) -> usize {
+    out_dim / 8 * 8
+}
+
+/// One sample through one layer with the given SIMD kernel, vectorized
+/// across output neurons:
+///
+/// ```text
+/// y[o] = relu?( b[o] + Σ_k w[o·in_dim + k] · x[k] )
+/// ```
+///
+/// For the first [`gemv_grouped`]`(out_dim)` outputs it broadcasts `x[k]`
+/// and fuses it into 8-output accumulators read from `wt`, the transposed
+/// weights of those outputs (`wt[k · grouped + o] = w[o · in_dim + k]`);
+/// the remaining outputs run their chain one at a time over row-major `w`.
+/// Each output's arithmetic is exactly its [`tile_forward`] lane chain (see
+/// the module docs), so the result is bitwise equal to the same sample
+/// inside a full tile.
+///
+/// # Panics
+///
+/// Panics on shape mismatches (the SIMD code indexes unchecked). Calling
+/// this with [`KernelKind::Scalar`] is a logic error — the scalar arm lives
+/// in `mlp.rs` next to the scalar tile.
+#[allow(clippy::too_many_arguments)] // the layer's parts plus one sample; a params struct would just rename the fields
+pub(crate) fn gemv_forward(
+    kind: KernelKind,
+    w: &[f32],
+    wt: &[f32],
+    b: &[f32],
+    in_dim: usize,
+    out_dim: usize,
+    x: &[f32],
+    y: &mut [f32],
+    relu: bool,
+) {
+    assert_eq!(w.len(), in_dim * out_dim);
+    assert_eq!(wt.len(), in_dim * gemv_grouped(out_dim));
+    assert_eq!(b.len(), out_dim);
+    assert_eq!(x.len(), in_dim);
+    assert_eq!(y.len(), out_dim);
+    match kind {
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe {
+            // SAFETY: dispatch only selects Avx2Fma after runtime detection
+            // of avx2+fma; slice bounds are checked above.
+            x86::gemv_avx2(w, wt, b, in_dim, out_dim, x, y, relu);
+        },
+        #[cfg(target_arch = "aarch64")]
+        KernelKind::Neon => unsafe {
+            // SAFETY: NEON is mandatory on aarch64; bounds checked above.
+            neon::gemv_neon(w, wt, b, in_dim, out_dim, x, y, relu);
+        },
+        _ => unreachable!("the scalar GEMV is evaluated in mlp.rs, not dispatched here"),
+    }
+}
+
+/// The per-output chain of [`gemv_forward`] for the outputs past the last
+/// full group of 8: `acc = b[o]`, then `acc = fma(w, x, acc)` left to right.
+/// Inlined into each kernel so [`f32::mul_add`] compiles to that target's
+/// fused instruction.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+fn fused_dot(row: &[f32], x: &[f32], bias: f32) -> f32 {
+    let mut acc = bias;
+    for (&wv, &xv) in row.iter().zip(x) {
+        acc = wv.mul_add(xv, acc);
+    }
+    acc
 }
 
 /// Cephes `logf` minimax coefficients for `ln(1 + f) ≈ f − f²/2 + f³·P(f)`
@@ -318,6 +398,11 @@ mod x86 {
     /// latency, ~4 cycles, would otherwise bound throughput); each output's
     /// own accumulation stays strictly left-to-right over `k`, so the only
     /// divergence from the scalar kernel is FMA's single rounding.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA, and the slices must have the
+    /// shapes [`super::tile_forward`] asserts.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn tile_forward_avx2(
@@ -328,7 +413,6 @@ mod x86 {
         tile: &[f32],
         dst: &mut [f32],
         base: usize,
-        live: usize,
         relu: bool,
     ) {
         debug_assert_eq!(Mlp::LANES, 8);
@@ -357,10 +441,10 @@ mod x86 {
                 a2 = _mm256_max_ps(a2, zero);
                 a3 = _mm256_max_ps(a3, zero);
             }
-            scatter(a0, dst, base, out_dim, o, live);
-            scatter(a1, dst, base, out_dim, o + 1, live);
-            scatter(a2, dst, base, out_dim, o + 2, live);
-            scatter(a3, dst, base, out_dim, o + 3, live);
+            scatter(a0, dst, base, out_dim, o);
+            scatter(a1, dst, base, out_dim, o + 1);
+            scatter(a2, dst, base, out_dim, o + 2);
+            scatter(a3, dst, base, out_dim, o + 3);
             o += 4;
         }
         while o < out_dim {
@@ -373,26 +457,87 @@ mod x86 {
             if relu {
                 acc = _mm256_max_ps(acc, zero);
             }
-            scatter(acc, dst, base, out_dim, o, live);
+            scatter(acc, dst, base, out_dim, o);
             o += 1;
         }
     }
 
-    /// Writes the `live` leading lanes of `acc` to their strided row-major
-    /// positions `dst[(base + t) * out_dim + o]`.
+    /// Writes the lanes of `acc` to their strided row-major positions
+    /// `dst[(base + t) * out_dim + o]`.
     #[inline(always)]
-    unsafe fn scatter(
-        acc: __m256,
-        dst: &mut [f32],
-        base: usize,
-        out_dim: usize,
-        o: usize,
-        live: usize,
-    ) {
+    unsafe fn scatter(acc: __m256, dst: &mut [f32], base: usize, out_dim: usize, o: usize) {
         let mut tmp = [0.0f32; Mlp::LANES];
         _mm256_storeu_ps(tmp.as_mut_ptr(), acc);
-        for (t, &v) in tmp.iter().enumerate().take(live) {
+        for (t, &v) in tmp.iter().enumerate() {
             *dst.get_unchecked_mut((base + t) * out_dim + o) = v;
+        }
+    }
+
+    /// AVX2+FMA per-sample GEMV ([`super::gemv_forward`]). Four groups of 8
+    /// outputs are in flight at a time, so four independent FMA chains hide
+    /// the FMA latency; each lane is one output's left-to-right chain.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA, and the slices must have the
+    /// shapes [`super::gemv_forward`] asserts.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemv_avx2(
+        w: &[f32],
+        wt: &[f32],
+        b: &[f32],
+        in_dim: usize,
+        out_dim: usize,
+        x: &[f32],
+        y: &mut [f32],
+        relu: bool,
+    ) {
+        let grouped = super::gemv_grouped(out_dim);
+        let (tp, xp, bp, yp) = (wt.as_ptr(), x.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+        let zero = _mm256_setzero_ps();
+        let mut o = 0usize;
+        while o + 32 <= grouped {
+            let mut a0 = _mm256_loadu_ps(bp.add(o));
+            let mut a1 = _mm256_loadu_ps(bp.add(o + 8));
+            let mut a2 = _mm256_loadu_ps(bp.add(o + 16));
+            let mut a3 = _mm256_loadu_ps(bp.add(o + 24));
+            for k in 0..in_dim {
+                let xk = _mm256_set1_ps(*xp.add(k));
+                let row = tp.add(k * grouped + o);
+                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(row), xk, a0);
+                a1 = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(8)), xk, a1);
+                a2 = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(16)), xk, a2);
+                a3 = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(24)), xk, a3);
+            }
+            if relu {
+                a0 = _mm256_max_ps(a0, zero);
+                a1 = _mm256_max_ps(a1, zero);
+                a2 = _mm256_max_ps(a2, zero);
+                a3 = _mm256_max_ps(a3, zero);
+            }
+            _mm256_storeu_ps(yp.add(o), a0);
+            _mm256_storeu_ps(yp.add(o + 8), a1);
+            _mm256_storeu_ps(yp.add(o + 16), a2);
+            _mm256_storeu_ps(yp.add(o + 24), a3);
+            o += 32;
+        }
+        while o < grouped {
+            let mut acc = _mm256_loadu_ps(bp.add(o));
+            for k in 0..in_dim {
+                let row = tp.add(k * grouped + o);
+                acc = _mm256_fmadd_ps(_mm256_loadu_ps(row), _mm256_set1_ps(*xp.add(k)), acc);
+            }
+            if relu {
+                acc = _mm256_max_ps(acc, zero);
+            }
+            _mm256_storeu_ps(yp.add(o), acc);
+            o += 8;
+        }
+        for o in grouped..out_dim {
+            let acc = super::fused_dot(&w[o * in_dim..(o + 1) * in_dim], x, b[o]);
+            // `_mm256_max_ps(acc, 0)` lane for lane: NaN and ±0 give +0.
+            y[o] = if !relu || acc > 0.0 { acc } else { 0.0 };
         }
     }
 }
@@ -406,6 +551,10 @@ mod neon {
     /// registers; two outputs in flight keep four independent FMA chains
     /// active. Per-output summation order matches the scalar kernel exactly
     /// (left to right), FMA rounding aside.
+    ///
+    /// # Safety
+    ///
+    /// The slices must have the shapes [`super::tile_forward`] asserts.
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn tile_forward_neon(
         w: &[f32],
@@ -415,7 +564,6 @@ mod neon {
         tile: &[f32],
         dst: &mut [f32],
         base: usize,
-        live: usize,
         relu: bool,
     ) {
         debug_assert_eq!(Mlp::LANES, 8);
@@ -445,8 +593,8 @@ mod neon {
                 a1l = vmaxq_f32(a1l, z);
                 a1h = vmaxq_f32(a1h, z);
             }
-            scatter(a0l, a0h, dst, base, out_dim, o, live);
-            scatter(a1l, a1h, dst, base, out_dim, o + 1, live);
+            scatter(a0l, a0h, dst, base, out_dim, o);
+            scatter(a1l, a1h, dst, base, out_dim, o + 1);
             o += 2;
         }
         while o < out_dim {
@@ -465,7 +613,7 @@ mod neon {
                 al = vmaxq_f32(al, z);
                 ah = vmaxq_f32(ah, z);
             }
-            scatter(al, ah, dst, base, out_dim, o, live);
+            scatter(al, ah, dst, base, out_dim, o);
             o += 1;
         }
     }
@@ -478,13 +626,88 @@ mod neon {
         base: usize,
         out_dim: usize,
         o: usize,
-        live: usize,
     ) {
         let mut tmp = [0.0f32; Mlp::LANES];
         vst1q_f32(tmp.as_mut_ptr(), lo);
         vst1q_f32(tmp.as_mut_ptr().add(4), hi);
-        for (t, &v) in tmp.iter().enumerate().take(live) {
+        for (t, &v) in tmp.iter().enumerate() {
             *dst.get_unchecked_mut((base + t) * out_dim + o) = v;
+        }
+    }
+
+    /// NEON per-sample GEMV ([`super::gemv_forward`]): two groups of 8
+    /// outputs (four `float32x4` accumulators, four FMA chains) in flight;
+    /// each lane is one output's left-to-right chain.
+    ///
+    /// # Safety
+    ///
+    /// The slices must have the shapes [`super::gemv_forward`] asserts.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemv_neon(
+        w: &[f32],
+        wt: &[f32],
+        b: &[f32],
+        in_dim: usize,
+        out_dim: usize,
+        x: &[f32],
+        y: &mut [f32],
+        relu: bool,
+    ) {
+        let grouped = super::gemv_grouped(out_dim);
+        let (tp, xp, bp, yp) = (wt.as_ptr(), x.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+        let z = vdupq_n_f32(0.0);
+        let mut o = 0usize;
+        while o + 16 <= grouped {
+            let mut a0 = vld1q_f32(bp.add(o));
+            let mut a1 = vld1q_f32(bp.add(o + 4));
+            let mut a2 = vld1q_f32(bp.add(o + 8));
+            let mut a3 = vld1q_f32(bp.add(o + 12));
+            for k in 0..in_dim {
+                let xk = *xp.add(k);
+                let row = tp.add(k * grouped + o);
+                a0 = vfmaq_n_f32(a0, vld1q_f32(row), xk);
+                a1 = vfmaq_n_f32(a1, vld1q_f32(row.add(4)), xk);
+                a2 = vfmaq_n_f32(a2, vld1q_f32(row.add(8)), xk);
+                a3 = vfmaq_n_f32(a3, vld1q_f32(row.add(12)), xk);
+            }
+            if relu {
+                a0 = vmaxq_f32(a0, z);
+                a1 = vmaxq_f32(a1, z);
+                a2 = vmaxq_f32(a2, z);
+                a3 = vmaxq_f32(a3, z);
+            }
+            vst1q_f32(yp.add(o), a0);
+            vst1q_f32(yp.add(o + 4), a1);
+            vst1q_f32(yp.add(o + 8), a2);
+            vst1q_f32(yp.add(o + 12), a3);
+            o += 16;
+        }
+        while o < grouped {
+            let mut lo = vld1q_f32(bp.add(o));
+            let mut hi = vld1q_f32(bp.add(o + 4));
+            for k in 0..in_dim {
+                let xk = *xp.add(k);
+                let row = tp.add(k * grouped + o);
+                lo = vfmaq_n_f32(lo, vld1q_f32(row), xk);
+                hi = vfmaq_n_f32(hi, vld1q_f32(row.add(4)), xk);
+            }
+            if relu {
+                lo = vmaxq_f32(lo, z);
+                hi = vmaxq_f32(hi, z);
+            }
+            vst1q_f32(yp.add(o), lo);
+            vst1q_f32(yp.add(o + 4), hi);
+            o += 8;
+        }
+        for o in grouped..out_dim {
+            let mut acc = super::fused_dot(&w[o * in_dim..(o + 1) * in_dim], x, b[o]);
+            if relu {
+                // The tile's own `vmaxq_f32`, so NaN and ±0 round-trip alike.
+                let mut tmp = [0.0f32; 4];
+                vst1q_f32(tmp.as_mut_ptr(), vmaxq_f32(vdupq_n_f32(acc), z));
+                acc = tmp[0];
+            }
+            y[o] = acc;
         }
     }
 }

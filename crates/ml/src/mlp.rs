@@ -5,9 +5,13 @@
 //! (`&self`), so data-parallel training can shard a minibatch across threads
 //! and sum the per-shard [`MlpGrads`].
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::kernel::{self, KernelKind};
 
 /// One dense layer: `y = W x + b` with `W` stored row-major `[out][in]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,6 +39,19 @@ impl Linear {
             w,
             b: vec![0.0; out_dim],
         }
+    }
+
+    /// The weights of the first [`kernel::gemv_grouped`]`(out_dim)` outputs,
+    /// transposed to `[in_dim × grouped]` for the SIMD GEMV.
+    fn transposed(&self) -> Vec<f32> {
+        let grouped = kernel::gemv_grouped(self.out_dim);
+        let mut wt = vec![0.0f32; self.in_dim * grouped];
+        for (o, row) in self.w.chunks_exact(self.in_dim).take(grouped).enumerate() {
+            for (k, &v) in row.iter().enumerate() {
+                wt[k * grouped + o] = v;
+            }
+        }
+        wt
     }
 
     #[inline]
@@ -144,10 +161,29 @@ impl MlpScratch {
 }
 
 /// ReLU MLP with a scalar output head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Mlp {
     /// Dense layers; ReLU between all but the last.
-    pub layers: Vec<Linear>,
+    layers: Vec<Linear>,
+    /// Per-layer transposed weights for the SIMD GEMV, built on its first
+    /// use and dropped by [`Mlp::layers_mut`], so they never go stale.
+    #[serde(skip)]
+    transposed: OnceLock<Vec<Vec<f32>>>,
+}
+
+impl std::fmt::Debug for Mlp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mlp")
+            .field("layers", &self.layers)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Equal when the layers are: the transposed weights are derived from them.
+impl PartialEq for Mlp {
+    fn eq(&self, other: &Self) -> bool {
+        self.layers == other.layers
+    }
 }
 
 impl Mlp {
@@ -168,7 +204,28 @@ impl Mlp {
             .windows(2)
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
-        Mlp { layers }
+        Mlp {
+            layers,
+            transposed: OnceLock::new(),
+        }
+    }
+
+    /// The dense layers; ReLU between all but the last.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
+    /// The dense layers, mutably (training). Drops the GEMV's transposed
+    /// weights; the next forward pass that needs them rebuilds them.
+    pub fn layers_mut(&mut self) -> &mut [Linear] {
+        self.transposed = OnceLock::new();
+        &mut self.layers
+    }
+
+    /// Each layer's transposed GEMV weights, built once on first use.
+    fn transposed(&self) -> &[Vec<f32>] {
+        self.transposed
+            .get_or_init(|| self.layers.iter().map(Linear::transposed).collect())
     }
 
     /// Input dimension.
@@ -183,11 +240,11 @@ impl Mlp {
 
     /// Forward pass for one sample; returns the scalar prediction.
     ///
-    /// Routed through [`Mlp::predict_batch_into`] with `n = 1` over a
-    /// thread-local scratch arena, so steady-state calls perform **zero heap
-    /// allocations** (pinned by `tests/predict_alloc.rs`) and a single
-    /// prediction is bitwise-identical to the same sample inside any batch,
-    /// whatever kernel is active.
+    /// Routed through [`Mlp::predict_batch_into`] with `n = 1` — the
+    /// per-sample GEMV — over a thread-local scratch arena, so steady-state
+    /// calls perform **zero heap allocations** (pinned by
+    /// `tests/predict_alloc.rs`) and a single prediction is bitwise-identical
+    /// to the same sample inside any batch, whatever kernel is active.
     ///
     /// # Panics
     ///
@@ -221,11 +278,14 @@ impl Mlp {
     /// This is where batching pays even on one core. The per-sample path is
     /// a chain of dependent `acc += w·x` FMAs — bound by FP latency, not
     /// throughput — and re-streams every weight matrix per sample. This
-    /// kernel transposes each [`Mlp::LANES`]-sample tile of activations and
-    /// evaluates the tile's dot products *simultaneously*: one weight pass
-    /// per tile, `LANES` independent accumulator chains. The tile itself is
-    /// dispatched through [`crate::kernel::active_kernel`]: AVX2/FMA or NEON
-    /// when the host supports it, the scalar tile otherwise.
+    /// kernel transposes each full [`Mlp::LANES`]-sample tile of activations
+    /// and evaluates the tile's dot products *simultaneously*: one weight
+    /// pass per tile, `LANES` independent accumulator chains. Samples outside
+    /// a full tile (a batch of one, a ragged tail) go through a per-sample
+    /// GEMV that instead runs independent chains across output neurons, over
+    /// weights transposed once per model. Both are dispatched through
+    /// [`crate::kernel::active_kernel`]: AVX2/FMA or NEON when the host
+    /// supports it, the scalar code otherwise.
     ///
     /// Numerical contract (see the [`crate::kernel`] docs):
     ///
@@ -237,8 +297,9 @@ impl Mlp {
     /// - Under a **SIMD** kernel, summation order is unchanged but FMA
     ///   rounds once per term; outputs are ULP-close to scalar, not equal.
     /// - Under *any* kernel, a sample's output is bitwise-independent of the
-    ///   batch it rides in: partial tiles are zero-padded (SIMD) or
-    ///   evaluated per-sample (scalar, same arithmetic), never rerouted.
+    ///   batch it rides in: the GEMV computes each output with the same
+    ///   left-to-right chain and the same ReLU as a tile lane, so a sample
+    ///   gets the same bits in a full tile or outside one.
     ///
     /// # Panics
     ///
@@ -251,10 +312,12 @@ impl Mlp {
         if n == 0 {
             return;
         }
-        let kind = crate::kernel::active_kernel();
+        let kind = kernel::active_kernel();
         let width = self.max_dim();
         scratch.reserve(n, width);
         let last = self.layers.len() - 1;
+        let full = n - n % Self::LANES;
+        let transposed = (kind != KernelKind::Scalar && full < n).then(|| self.transposed());
 
         // Layer-by-layer over the whole batch: activations for the current
         // layer's input live in one buffer, outputs accumulate in the other.
@@ -263,73 +326,57 @@ impl Mlp {
         let mut cur_buf = 0usize;
         for (li, layer) in self.layers.iter().enumerate() {
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
-            for block in (0..n).step_by(Self::LANES) {
-                let bs = Self::LANES.min(n - block);
-                let (a, b, tile) = scratch.parts();
-                let (src, dst) = if cur_buf == 0 { (a, b) } else { (b, a) };
-                if kind != crate::kernel::KernelKind::Scalar {
-                    // SIMD tile, full or ragged: pad missing lanes with
-                    // zeros so every live sample's FMA chain is identical
-                    // whatever tile it lands in, then write back only the
-                    // live lanes.
-                    if bs < Self::LANES {
-                        tile[..in_dim * Self::LANES].fill(0.0);
+            let relu = li != last;
+            let (a, b, tile) = scratch.parts();
+            let (src, dst) = if cur_buf == 0 { (a, b) } else { (b, a) };
+            for block in (0..full).step_by(Self::LANES) {
+                // Transpose the tile: tile[k * LANES + t] = sample t's
+                // feature k (contiguous lanes for the inner loop).
+                for t in 0..Self::LANES {
+                    let row = &src[(block + t) * cur_w..(block + t) * cur_w + in_dim];
+                    for (k, &v) in row.iter().enumerate() {
+                        tile[k * Self::LANES + t] = v;
                     }
-                    for t in 0..bs {
-                        let row = &src[(block + t) * cur_w..(block + t) * cur_w + in_dim];
-                        for (k, &v) in row.iter().enumerate() {
-                            tile[k * Self::LANES + t] = v;
-                        }
-                    }
-                    crate::kernel::tile_forward(
-                        kind,
-                        &layer.w,
-                        &layer.b,
-                        in_dim,
-                        out_dim,
-                        tile,
-                        dst,
-                        block,
-                        bs,
-                        li != last,
+                }
+                if kind != KernelKind::Scalar {
+                    kernel::tile_forward(
+                        kind, &layer.w, &layer.b, in_dim, out_dim, tile, dst, block, relu,
                     );
-                } else if bs == Self::LANES {
-                    // Transpose the tile: tile[k * LANES + t] = sample t's
-                    // feature k (contiguous lanes for the inner loop).
-                    for t in 0..Self::LANES {
-                        let row = &src[(block + t) * cur_w..(block + t) * cur_w + in_dim];
-                        for (k, &v) in row.iter().enumerate() {
-                            tile[k * Self::LANES + t] = v;
+                    continue;
+                }
+                for o in 0..out_dim {
+                    let row = &layer.w[o * in_dim..(o + 1) * in_dim];
+                    let mut acc = [layer.b[o]; Self::LANES];
+                    for (k, &wv) in row.iter().enumerate() {
+                        let lanes = &tile[k * Self::LANES..(k + 1) * Self::LANES];
+                        for t in 0..Self::LANES {
+                            acc[t] += wv * lanes[t];
                         }
                     }
-                    for o in 0..out_dim {
-                        let row = &layer.w[o * in_dim..(o + 1) * in_dim];
-                        let mut acc = [layer.b[o]; Self::LANES];
-                        for (k, &wv) in row.iter().enumerate() {
-                            let lanes = &tile[k * Self::LANES..(k + 1) * Self::LANES];
-                            for t in 0..Self::LANES {
-                                acc[t] += wv * lanes[t];
-                            }
-                        }
-                        for (t, &v) in acc.iter().enumerate() {
-                            dst[(block + t) * out_dim + o] = v;
-                        }
+                    for (t, &v) in acc.iter().enumerate() {
+                        dst[(block + t) * out_dim + o] = v;
                     }
-                    if li != last {
-                        for v in &mut dst[block * out_dim..(block + Self::LANES) * out_dim] {
-                            *v = v.max(0.0);
-                        }
+                }
+                if relu {
+                    for v in &mut dst[block * out_dim..(block + Self::LANES) * out_dim] {
+                        *v = v.max(0.0);
                     }
+                }
+            }
+            // Samples outside a full tile: the per-sample GEMV, each
+            // output's chain identical to its tile lane.
+            for s in full..n {
+                let x = &src[s * cur_w..s * cur_w + in_dim];
+                let y = &mut dst[s * out_dim..(s + 1) * out_dim];
+                if let Some(wt) = transposed {
+                    kernel::gemv_forward(
+                        kind, &layer.w, &wt[li], &layer.b, in_dim, out_dim, x, y, relu,
+                    );
                 } else {
-                    // Ragged tail: plain per-sample forward (same arithmetic).
-                    for s in block..block + bs {
-                        let x = &src[s * cur_w..s * cur_w + in_dim];
-                        let y = &mut dst[s * out_dim..(s + 1) * out_dim];
-                        layer.forward_into(x, y);
-                        if li != last {
-                            for v in y {
-                                *v = v.max(0.0);
-                            }
+                    layer.forward_into(x, y);
+                    if relu {
+                        for v in y {
+                            *v = v.max(0.0);
                         }
                     }
                 }
@@ -468,9 +515,9 @@ mod tests {
             let wlen = m.layers[li].w.len();
             for &wi in [0usize, 3, 7].iter().filter(|&&wi| wi < wlen) {
                 let mut mp = m.clone();
-                mp.layers[li].w[wi] += eps;
+                mp.layers_mut()[li].w[wi] += eps;
                 let mut mm = m.clone();
-                mm.layers[li].w[wi] -= eps;
+                mm.layers_mut()[li].w[wi] -= eps;
                 let num = (loss_of(&mp) - loss_of(&mm)) / (2.0 * f64::from(eps));
                 let ana = f64::from(grads.layers[li].0[wi]);
                 assert!(
@@ -479,9 +526,9 @@ mod tests {
                 );
             }
             let mut mp = m.clone();
-            mp.layers[li].b[0] += eps;
+            mp.layers_mut()[li].b[0] += eps;
             let mut mm = m.clone();
-            mm.layers[li].b[0] -= eps;
+            mm.layers_mut()[li].b[0] -= eps;
             let num = (loss_of(&mp) - loss_of(&mm)) / (2.0 * f64::from(eps));
             let ana = f64::from(grads.layers[li].1[0]);
             assert!(

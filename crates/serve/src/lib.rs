@@ -7,8 +7,9 @@
 //! answers them with micro-batched MLP evaluation over an LRU cache of
 //! precomputed analytic feature stores.
 //!
-//! Pipeline: bounded queue → micro-batching collector (flush on batch size
-//! or deadline) → worker pool → sharded, byte-budgeted feature-store cache →
+//! Pipeline: bounded queue → work-conserving micro-batching collector (a
+//! batch is whatever is already queued, up to the size cap) → worker pool →
+//! sharded, byte-budgeted feature-store cache →
 //! one batched forward pass per region group. Cache misses are parked on a
 //! single-flight registry and built by a dedicated precompute pool, so a
 //! cold region never stalls the hit path (see [`service`]).

@@ -2,11 +2,13 @@
 //! pool → batched model evaluation over sharded, byte-budgeted feature-store
 //! caching, with misses routed to a dedicated precompute pool.
 //!
-//! Requests enter a bounded FIFO. Each worker drains up to
-//! [`ServeConfig::max_batch`] requests, waiting at most
-//! [`ServeConfig::batch_deadline`] for stragglers (flush-on-size-or-deadline
-//! micro-batching), groups the batch by region feature-store key, and probes
-//! the shared [`ShardedStoreCache`]:
+//! Requests enter a bounded FIFO. Each worker takes up to
+//! [`ServeConfig::max_batch`] requests of the work already queued and runs
+//! them at once, never lingering for stragglers (work-conserving batching:
+//! batches form from a `submit_many` array or from whatever arrived while
+//! the worker was busy, the way `TCP_NODELAY` replaces Nagle). It groups the
+//! batch by region feature-store key and probes the shared
+//! [`ShardedStoreCache`]:
 //!
 //! - **Hit** → one batched MLP forward pass per group through a worker-owned
 //!   scratch arena; the response leaves in microseconds.
@@ -135,10 +137,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded request-queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Flush a collecting batch at this many requests.
+    /// Most requests one worker takes into a batch (0 counts as 1).
     pub max_batch: usize,
-    /// Flush a collecting batch at this age even if not full.
-    pub batch_deadline: Duration,
     /// Feature-store cache shard count (0 = 8). Each shard has its own lock,
     /// so hot-region lookups don't contend with cold-region insertions.
     pub cache_shards: usize,
@@ -195,7 +195,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_capacity: 4096,
             max_batch: 128,
-            batch_deadline: Duration::from_millis(1),
             cache_shards: 0,
             cache_bytes: 512 << 20,
             precompute_workers: 0,
@@ -222,6 +221,11 @@ impl ServeConfig {
             .unwrap_or(2)
             .saturating_sub(1)
             .max(1)
+    }
+
+    /// Most requests a worker of this config takes into one batch.
+    pub fn effective_max_batch(&self) -> usize {
+        self.max_batch.max(1)
     }
 
     /// Cache shards a service started with this config uses.
@@ -1075,7 +1079,7 @@ fn notify_enqueued(shared: &Shared, idx: usize, n: usize) {
         .max_queue_depth
         .fetch_max(depth, Ordering::Relaxed);
     shared.shards[idx].cv.notify_all();
-    if n > shared.cfg.max_batch {
+    if n > shared.cfg.effective_max_batch() {
         for (i, s) in shared.shards.iter().enumerate() {
             if i != idx {
                 s.cv.notify_one();
@@ -1435,9 +1439,10 @@ fn drain_locked(shared: &Shared, q: &mut VecDeque<Job>, batch: &mut Vec<Job>, ma
 }
 
 /// Collects one micro-batch into `batch` (cleared first): waits on the
-/// worker's own shard, drains it, steals front-first from the other shards
-/// when it comes up empty, then holds the batch open until full or
-/// [`ServeConfig::batch_deadline`] for stragglers.
+/// worker's own shard, drains it, and steals front-first from the other
+/// shards when it comes up empty — then returns at once. The collector is
+/// work-conserving: a batch is whatever was already queued, up to
+/// [`ServeConfig::effective_max_batch`], and never waits for stragglers.
 ///
 /// Leaves `batch` empty only when there was nothing to take — at shutdown
 /// (the worker loop re-checks [`drained_for_shutdown`] before exiting, so a
@@ -1445,6 +1450,7 @@ fn drain_locked(shared: &Shared, q: &mut VecDeque<Job>, batch: &mut Vec<Job>, ma
 /// another worker to the same jobs.
 fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
     batch.clear();
+    let max = shared.cfg.effective_max_batch();
     let nsh = shared.shards.len();
     let my = &shared.shards[wid % nsh];
     {
@@ -1467,45 +1473,17 @@ fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
                 .unwrap_or_else(|e| e.into_inner());
             q = qq;
         }
-        drain_locked(shared, &mut q, batch, shared.cfg.max_batch);
+        drain_locked(shared, &mut q, batch, max);
     }
     if batch.is_empty() {
         for off in 1..nsh {
             let sh = &shared.shards[(wid + off) % nsh];
             let mut q = sh.q.lock().unwrap_or_else(|e| e.into_inner());
-            drain_locked(shared, &mut q, batch, shared.cfg.max_batch);
+            drain_locked(shared, &mut q, batch, max);
             drop(q);
             if !batch.is_empty() {
                 break;
             }
-        }
-        if batch.is_empty() {
-            return;
-        }
-    }
-    if batch.len() >= shared.cfg.max_batch || shared.shutdown.load(Ordering::SeqCst) {
-        return;
-    }
-    // Straggler window: keep the batch open on this worker's own shard until
-    // it fills or the deadline passes (flush-on-size-or-deadline).
-    let deadline = Instant::now() + shared.cfg.batch_deadline;
-    let mut q = my.q.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        drain_locked(shared, &mut q, batch, shared.cfg.max_batch);
-        if batch.len() >= shared.cfg.max_batch || shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let (qq, timeout) = my
-            .cv
-            .wait_timeout(q, deadline - now)
-            .unwrap_or_else(|e| e.into_inner());
-        q = qq;
-        if timeout.timed_out() && q.is_empty() {
-            return;
         }
     }
 }
@@ -2147,6 +2125,11 @@ mod tests {
         assert!(cfg.effective_precompute_workers() >= 1);
         assert!(cfg.queue_capacity > 0);
         assert!(cfg.max_batch > 1);
+        let zero = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        assert_eq!(zero.effective_max_batch(), 1);
         assert!(cfg.cache_bytes > 0);
         assert!(cfg.max_connections >= 1);
         assert!(cfg.class_slo.is_empty(), "per-class QoS must default off");

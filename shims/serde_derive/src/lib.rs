@@ -4,9 +4,11 @@
 //! this container, so this crate parses the derive input directly from the
 //! compiler's `TokenStream`. It supports exactly the shapes the workspace
 //! declares: non-generic structs with named fields, tuple structs, and enums
-//! whose variants are unit, newtype/tuple, or struct-like. The only field
-//! attribute honoured is `#[serde(default)]`; other `#[serde(...)]`
-//! attributes are rejected so silent behaviour changes cannot slip in.
+//! whose variants are unit, newtype/tuple, or struct-like. The field
+//! attributes honoured are `#[serde(default)]` and, on named struct fields,
+//! `#[serde(skip)]` (never written; `Default::default()` on read); other
+//! `#[serde(...)]` attributes are rejected so silent behaviour changes cannot
+//! slip in.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -14,6 +16,7 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct Field {
     name: String,
     default: bool,
+    skip: bool,
 }
 
 #[derive(Debug)]
@@ -51,9 +54,11 @@ fn is_ident(t: &TokenTree, s: &str) -> bool {
 }
 
 /// Consumes leading attributes at `i`, returning whether `#[serde(default)]`
-/// was among them. Panics (compile error) on unsupported serde attributes.
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
+/// and `#[serde(skip)]` were among them. Panics (compile error) on
+/// unsupported serde attributes.
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> (bool, bool) {
     let mut has_default = false;
+    let mut has_skip = false;
     while *i < tokens.len() && is_punct(&tokens[*i], '#') {
         *i += 1;
         if *i < tokens.len() && is_punct(&tokens[*i], '!') {
@@ -70,16 +75,17 @@ fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
             for arg in args.stream() {
                 match &arg {
                     t if is_ident(t, "default") => has_default = true,
+                    t if is_ident(t, "skip") => has_skip = true,
                     TokenTree::Punct(p) if p.as_char() == ',' => {}
                     other => panic!(
-                        "serde_derive shim: unsupported #[serde({other})] attribute; only `default` is implemented"
+                        "serde_derive shim: unsupported #[serde({other})] attribute; only `default` and `skip` are implemented"
                     ),
                 }
             }
         }
         *i += 1;
     }
-    has_default
+    (has_default, has_skip)
 }
 
 fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
@@ -101,7 +107,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let default = skip_attrs(&tokens, &mut i);
+        let (default, skip) = skip_attrs(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
@@ -133,6 +139,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         fields.push(Field {
             name: name.to_string(),
             default,
+            skip,
         });
     }
     fields
@@ -191,6 +198,10 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                 }
                 TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => {
                     let fields = parse_named_fields(g.stream());
+                    assert!(
+                        fields.iter().all(|f| !f.skip),
+                        "serde_derive shim: #[serde(skip)] is only implemented on struct fields"
+                    );
                     i += 1;
                     VariantKind::Struct(fields)
                 }
@@ -262,7 +273,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let out = match parse_input(input) {
         Input::Struct { name, fields } => {
             let mut pushes = String::new();
-            for f in &fields {
+            for f in fields.iter().filter(|f| !f.skip) {
                 pushes.push_str(&format!(
                     "__m.push((\"{f}\".to_string(), serde::Serialize::to_content(&self.{f})));\n",
                     f = f.name
@@ -358,6 +369,10 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Input::Struct { name, fields } => {
             let mut inits = String::new();
             for f in &fields {
+                if f.skip {
+                    inits.push_str(&format!("{}: Default::default(),\n", f.name));
+                    continue;
+                }
                 let missing = if f.default {
                     "Default::default()".to_string()
                 } else {

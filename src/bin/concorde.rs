@@ -42,7 +42,7 @@ fn usage_text() -> &'static str {
          concorde inspect   <FILE>\n  \
          concorde serve     [--addr HOST:PORT] [--model PATH] [--save-model PATH]\n             \
          [--profile quick|default] [--train-samples N] [--workers N]\n             \
-         [--max-batch N] [--deadline-us N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
+         [--max-batch N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
          [--precompute-workers N] [--max-conns N]\n             \
          [--slo CLASS=MS,…] [--metrics-addr HOST:PORT]\n             \
          [--sweep arch|quantized] [--encoding f32|f16|int8] [--preload FILE]…\n             \
@@ -219,6 +219,10 @@ fn serve_config(args: &[String]) -> ServeConfig {
             "every request gets the exact answer; use --slo interactive=N,batch=N \
              to order cold builds by deadline",
         ),
+        (
+            "--deadline-us",
+            "batches flush as soon as the queue is empty",
+        ),
     ] {
         if args.iter().any(|a| a == flag) {
             bail(&format!("{flag} was removed: {why}"));
@@ -236,7 +240,6 @@ fn serve_config(args: &[String]) -> ServeConfig {
         workers: parse_num(args, "--workers", 0usize),
         queue_capacity: parse_num(args, "--queue", defaults.queue_capacity),
         max_batch: parse_num(args, "--max-batch", defaults.max_batch),
-        batch_deadline: Duration::from_micros(parse_num(args, "--deadline-us", 1000u64)),
         cache_shards: parse_num(args, "--cache-shards", 0usize),
         cache_bytes: flag_value(args, "--cache-bytes")
             .map(|v| parse_bytes("--cache-bytes", v))

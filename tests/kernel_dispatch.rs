@@ -1,6 +1,7 @@
 //! Vector-kernel dispatch coverage: scalar↔SIMD max-ULP equivalence over
-//! random layer shapes and ragged batches (proptest), and the normalizer
-//! contract (bitwise across kernels, ≤ 1e-5 CPI drift against a libm
+//! random layer shapes and ragged batches (proptest), the per-sample GEMV's
+//! bitwise equality with a full tile under every kernel (proptest), and the
+//! normalizer contract (bitwise across kernels, ≤ 1e-5 CPI drift against a libm
 //! `ln_1p` reference).
 
 use concorde_suite::ml::kernel::log1p;
@@ -64,6 +65,58 @@ proptest! {
                 "row {} of {} diverged: simd {} vs scalar {} ({} ULP)",
                 s, n, a, b, ulp
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// A sample outside a full tile (a batch of one, a ragged tail) runs the
+    /// per-sample GEMV; its output must be bitwise equal to the same sample
+    /// inside a full tile, under the dispatched kernel and under forced
+    /// scalar. Hidden widths cover partial groups of 8 and several full
+    /// groups; the head is `out_dim = 1`.
+    #[test]
+    fn gemv_matches_full_tile_bitwise(
+        seed in any::<u64>(),
+        n in 1usize..18,
+        din in 1usize..40,
+        dh in 1usize..70,
+        deep in 0usize..2,
+    ) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let dims: Vec<usize> = if deep == 1 {
+            vec![din, dh, dh.div_ceil(3), 1]
+        } else {
+            vec![din, dh, 1]
+        };
+        let mlp = Mlp::new(&dims, &mut rng);
+        let xs: Vec<f32> = (0..n * din).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+        for scalar in [false, true] {
+            let _g = scalar.then(forced_scalar);
+            let mut scratch = MlpScratch::default();
+            let mut batch = vec![0.0f32; n];
+            mlp.predict_batch_into(&xs, &mut batch, &mut scratch);
+            for (s, got) in batch.iter().enumerate() {
+                // Sample `s` in lane `s % LANES` of a full tile whose other
+                // lanes hold other rows of the batch.
+                let lane = s % Mlp::LANES;
+                let tile: Vec<f32> = (0..Mlp::LANES)
+                    .flat_map(|t| {
+                        let r = if t == lane { s } else { (s + t + 1) % n };
+                        xs[r * din..(r + 1) * din].iter().copied()
+                    })
+                    .collect();
+                let mut out = [0.0f32; Mlp::LANES];
+                mlp.predict_batch_into(&tile, &mut out, &mut scratch);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    out[lane].to_bits(),
+                    "{} kernel, row {} of {}: batch {} vs tile {}",
+                    active_kernel().name(), s, n, got, out[lane]
+                );
+            }
         }
     }
 }

@@ -3,8 +3,6 @@
 //! predict with bitwise-stable answers across two independent service runs,
 //! and the vendored test binaries must stay in sync with their generator.
 
-use std::time::Duration;
-
 use concorde_suite::core::cache::{sweep_content_hash, FeatureKey};
 use concorde_suite::prelude::*;
 use concorde_suite::riscv;
@@ -38,7 +36,6 @@ fn quick_config() -> ServeConfig {
     ServeConfig {
         workers: 2,
         max_batch: 64,
-        batch_deadline: Duration::from_millis(2),
         ..ServeConfig::default()
     }
 }

@@ -71,7 +71,6 @@ fn warm_serving_round_trip_allocates_nothing() {
             workers: 1,
             precompute_workers: 1,
             max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );

@@ -126,7 +126,6 @@ fn chaos_faults_never_strand_requests_or_corrupt_answers() {
     let cfg = |plan: Option<Arc<FaultPlan>>| ServeConfig {
         workers: 2,
         max_batch: 4,
-        batch_deadline: Duration::from_micros(200),
         precompute_workers: 2,
         cache_shards: 1,
         cache_bytes: hot_bytes * 5 / 2,

@@ -7,8 +7,6 @@
 //! --precompute-workers 4`); debug runs use the same shape with the same
 //! assertions, just slower.
 
-use std::time::Duration;
-
 use concorde_suite::prelude::*;
 use concorde_suite::serve::BatchScratch;
 
@@ -70,7 +68,6 @@ fn sharded_queue_contention_is_bitwise_deterministic() {
                 workers: 1,
                 precompute_workers: 1,
                 max_batch: 16,
-                batch_deadline: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
         );
@@ -97,7 +94,6 @@ fn sharded_queue_contention_is_bitwise_deterministic() {
             workers: 8,
             precompute_workers: 4,
             max_batch: 16,
-            batch_deadline: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );

@@ -44,7 +44,6 @@ fn small_config() -> ServeConfig {
     ServeConfig {
         workers: 2,
         max_batch: 1,
-        batch_deadline: Duration::from_micros(1),
         precompute_workers: 1,
         ..ServeConfig::default()
     }
@@ -673,7 +672,6 @@ fn stats_report_backlog_and_parked_as_a_consistent_snapshot() {
         ServeConfig {
             workers: 2,
             max_batch: 1,
-            batch_deadline: Duration::from_micros(1),
             precompute_workers: 1,
             ..ServeConfig::default()
         },

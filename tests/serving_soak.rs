@@ -112,7 +112,6 @@ fn soak_churn_drains_clean_with_stable_answers() {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            batch_deadline: Duration::from_micros(200),
             precompute_workers: 2,
             // ~2½ hot-sized stores on ONE shard: the hot pair mostly stays
             // resident while the cold ring keeps evicting — every cold
