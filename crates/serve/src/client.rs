@@ -3,12 +3,11 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{PredictRequest, PredictResponse};
-use crate::service::{submit, submit_many, submit_slot, Job, ServeError, Shared};
+use crate::service::{submit, submit_waiting, Job, ServeError, Shared};
 use crate::slots::SlotReceiver;
 
 /// Caller-owned scratch for [`Client::predict_batch_into`]: holds the slot
@@ -34,41 +33,21 @@ impl Client {
         Client { shared }
     }
 
-    /// The service internals, for the TCP front end's slot-based fast path.
+    /// The service internals, for the TCP front end's request path.
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
 
-    /// Enqueues a request, returning the response receiver immediately.
+    /// Enqueues a request, returning its response slot immediately: the
+    /// answer arrives through [`SlotReceiver::recv`], and dropping the
+    /// receiver recycles the slot.
     ///
     /// # Errors
     ///
     /// [`ServeError::QueueFull`] when the bounded queue is at capacity,
     /// [`ServeError::ShuttingDown`] during teardown.
-    pub fn submit(
-        &self,
-        req: PredictRequest,
-    ) -> Result<mpsc::Receiver<PredictResponse>, ServeError> {
+    pub fn submit(&self, req: PredictRequest) -> Result<SlotReceiver, ServeError> {
         submit(&self.shared, req)
-    }
-
-    /// Like [`Client::submit`], but waits out a full queue instead of
-    /// failing (gentle backpressure; the wait is a short sleep-poll).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShuttingDown`] during teardown.
-    pub fn submit_blocking(
-        &self,
-        req: PredictRequest,
-    ) -> Result<mpsc::Receiver<PredictResponse>, ServeError> {
-        loop {
-            match self.submit(req.clone()) {
-                Ok(rx) => return Ok(rx),
-                Err(ServeError::QueueFull) => std::thread::sleep(Duration::from_micros(200)),
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Predicts one request, blocking for the response.
@@ -76,10 +55,9 @@ impl Client {
     /// # Errors
     ///
     /// See [`Client::submit`]; also [`ServeError::Disconnected`] if the
-    /// service is torn down mid-flight.
+    /// service drops the request without answering it.
     pub fn predict(&self, req: PredictRequest) -> Result<PredictResponse, ServeError> {
-        let rx = self.submit(req)?;
-        rx.recv().map_err(|_| ServeError::Disconnected)
+        self.submit(req)?.recv()
     }
 
     /// Metrics snapshot of the service this client feeds.
@@ -149,8 +127,9 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::ShuttingDown`] when the service goes away underneath
-    /// the call; `reqs` may then be partially drained and `out` holds no
-    /// responses (in-flight requests are answered and discarded).
+    /// the call, [`ServeError::Disconnected`] when it drops a request
+    /// without answering it; `reqs` may then be partially drained and `out`
+    /// holds no responses (in-flight requests are answered and discarded).
     pub fn predict_batch_into(
         &self,
         reqs: &mut Vec<PredictRequest>,
@@ -158,38 +137,20 @@ impl Client {
         out: &mut Vec<PredictResponse>,
     ) -> Result<(), ServeError> {
         out.clear();
-        // Fast path: the whole batch enqueues under one shard lock against
-        // recycled response slots. A queue too full for the bulk
-        // reservation degrades to per-request submission with the same
-        // sleep-poll backpressure as before, which makes progress even when
-        // the batch exceeds the entire queue capacity.
-        match submit_many(&self.shared, reqs, &mut scratch.rxs, &mut scratch.jobs) {
-            Ok(()) => {}
-            Err(ServeError::QueueFull) => {
-                for req in reqs.drain(..) {
-                    loop {
-                        match submit_slot(&self.shared, req.clone()) {
-                            Ok(rx) => {
-                                scratch.rxs.push(rx);
-                                break;
-                            }
-                            Err(ServeError::QueueFull) => {
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                            Err(e) => {
-                                scratch.rxs.clear();
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-            }
-            Err(e) => return Err(e),
+        let received = submit_waiting(&self.shared, reqs, &mut scratch.rxs, &mut scratch.jobs)
+            // Dropping each receiver right after its response recycles the
+            // slot for the next request in the same batch.
+            .and_then(|()| {
+                scratch
+                    .rxs
+                    .drain(..)
+                    .try_for_each(|rx| rx.recv().map(|resp| out.push(resp)))
+            });
+        if received.is_err() {
+            scratch.rxs.clear();
+            out.clear();
         }
-        // Dropping each receiver right after its response recycles the slot
-        // for the next request in the same batch.
-        out.extend(scratch.rxs.drain(..).map(|rx| rx.recv()));
-        Ok(())
+        received
     }
 }
 

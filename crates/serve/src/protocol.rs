@@ -4,6 +4,11 @@
 //! responses). The same types back the in-process [`Client`](crate::Client),
 //! so a test exercising the client exercises the protocol.
 //!
+//! [`decode_request_line`] is the one decoder for wire lines: it returns the
+//! line's requests, names a control command, or rejects the line with the
+//! exact `{"error": ...}` text the server replies with
+//! ([`Rejection::encode_json_into`]).
+//!
 //! ```json
 //! {"id": 1, "workload": "S5", "arch": {"base": "n1", "rob": 256}}
 //! {"id": 1, "cpi": 1.87, "cached": true, "micros": 112}
@@ -11,6 +16,8 @@
 
 use concorde_core::keystr::KeyStr;
 use concorde_cyclesim::MicroArch;
+use std::borrow::Cow;
+
 use serde::{Content, Deserialize, Serialize};
 
 /// QoS class of a request, carried on the wire as `"class"`.
@@ -466,185 +473,148 @@ impl PredictResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Wire fast path: single-pass request decode + allocation-free reply encode
+// Wire decoder: one pass per request line + allocation-free reply encode
 // ---------------------------------------------------------------------------
 //
-// The slow path parses every request line twice (`serde_json::from_str` →
-// `Value` tree → `from_value::<PredictRequest>`), heap-allocating the whole
-// intermediate tree per line. The decoder below walks the line once,
-// materializing `PredictRequest`s directly (inline `KeyStr` workloads — no
-// heap for typical requests). It is *conservative*: anything it is not
-// certain it decodes exactly like the `Value` path — control objects
-// (`{"cmd":…}`), malformed JSON, type mismatches, pathological inputs —
-// returns a [`FastMiss`] and the caller re-parses on the slow path, which
-// stays the single source of truth for error messages and `cmd` handling.
-// Observable behavior is therefore identical by construction; the proptest
-// suite additionally pins value-equivalence for everything the fast path
-// does accept.
+// `decode_request_line` is the only request decoder. It walks a line once,
+// checking the JSON grammar exactly as the `serde_json` shim's parser does
+// (same error texts at the same byte offsets), and materializes
+// `PredictRequest`s directly — inline `KeyStr` workloads, escape-free
+// strings borrowed from the line, so a typical line costs no heap. Field
+// values go through the shim's own `Deserialize` impls, and the rules of
+// its derived struct impls are kept: a duplicate key's last value wins, and
+// the first bad field in declaration order names the error. A rejected line
+// therefore gets the reply text the `serde_json::Value` route produced;
+// `tests/protocol_equiv.rs` keeps that route as the reference.
 
-/// Shape of a successfully fast-decoded request line.
+/// Deepest container nesting a line may use. Well-formed requests need 3
+/// (batch → request → arch); the cap keeps the decoder's recursion, and the
+/// `Value` parse of a control line after it, off the end of the
+/// connection thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// What a decoded line holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedShape {
-    /// The line was a single request object (one request appended).
+    /// A single request object (one request appended).
     Single,
-    /// The line was an array of requests (zero or more appended, in order).
+    /// An array of requests (zero or more appended, in order).
     Batch,
-}
-
-/// Why the fast decoder declined a line (caller falls back to the `Value`
-/// path, which owns error messages and control commands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastMiss {
-    /// A top-level object carrying a `"cmd"` key — the control path.
+    /// A top-level object with a `"cmd"` key: a control command. The line
+    /// is valid JSON nested at most 128 deep; nothing is appended.
     Cmd,
-    /// Malformed JSON, a type mismatch, or a shape the fast path does not
-    /// commit to decoding identically.
-    Fallback,
 }
 
-/// Decodes one request line in a single pass.
+/// A line answered with one `{"error": ...}` object instead of
+/// predictions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rejection(String);
+
+impl Rejection {
+    /// The error text. It starts with `malformed JSON: `, `bad request: `
+    /// or `bad request batch: `, or is `expected a JSON object or array`.
+    pub fn message(&self) -> &str {
+        &self.0
+    }
+
+    /// Appends the `{"error": ...}` reply object.
+    pub fn encode_json_into(&self, out: &mut String) {
+        encode_error_into(out, &self.0);
+    }
+}
+
+/// Appends `{"error": msg}`, byte-identical to
+/// `serde_json::json!({"error": msg}).to_string()`.
+pub(crate) fn encode_error_into(out: &mut String, msg: &str) {
+    out.push_str("{\"error\":");
+    encode_str_opt(out, Some(msg));
+    out.push('}');
+}
+
+/// Decodes one wire line in a single pass.
 ///
-/// On success appends the decoded request(s) to `out` (cleared first) and
-/// returns the line shape. On [`FastMiss`] the caller must re-parse via the
-/// `Value` path; `out` is left cleared.
+/// Appends the decoded request(s) to `out` (cleared first) and returns the
+/// line's shape; `out` is left empty for control lines and rejections.
 ///
 /// # Errors
 ///
-/// [`FastMiss::Cmd`] for control objects, [`FastMiss::Fallback`] for
-/// anything the fast path declines (see the module comment).
+/// A [`Rejection`] carrying the reply text for malformed JSON, nesting
+/// deeper than 128 levels, a field of the wrong type, a missing
+/// `workload`, or a top level that is neither an object nor an array.
 pub fn decode_request_line(
     line: &str,
     out: &mut Vec<PredictRequest>,
-) -> Result<DecodedShape, FastMiss> {
+) -> Result<DecodedShape, Rejection> {
     out.clear();
-    let mut p = FastParser {
+    let mut p = Parser {
+        s: line,
         b: line.as_bytes(),
         pos: 0,
+        depth: 0,
     };
-    p.skip_ws();
-    let shape = match p.peek() {
-        Some(b'{') => {
-            let req = p.request_obj(true)?;
-            out.push(req);
-            DecodedShape::Single
-        }
-        Some(b'[') => {
-            p.pos += 1;
-            p.skip_ws();
-            if p.peek() == Some(b']') {
-                p.pos += 1;
-            } else {
-                loop {
-                    p.skip_ws();
-                    if p.peek() != Some(b'{') {
-                        out.clear();
-                        return Err(FastMiss::Fallback);
-                    }
-                    let req = p.request_obj(false)?;
-                    out.push(req);
-                    p.skip_ws();
-                    match p.peek() {
-                        Some(b',') => p.pos += 1,
-                        Some(b']') => {
-                            p.pos += 1;
-                            break;
-                        }
-                        _ => {
-                            out.clear();
-                            return Err(FastMiss::Fallback);
-                        }
-                    }
-                }
-            }
-            DecodedShape::Batch
-        }
-        _ => return Err(FastMiss::Fallback),
-    };
-    p.skip_ws();
-    if p.pos != p.b.len() {
+    let decoded = p.line(out);
+    if decoded.is_err() {
         out.clear();
-        return Err(FastMiss::Fallback);
     }
-    Ok(shape)
+    decoded
 }
 
-/// Number classification mirroring the `serde_json` shim's parser: integer
-/// text becomes `U64`/`I64` (overflow falls back to `F64`), anything with a
-/// `.` or exponent is `F64`.
-#[derive(Clone, Copy)]
-enum Num {
-    U(u64),
-    I(i64),
-    F(f64),
+/// A field value as the shim's `Deserialize` impls see it. Numbers and
+/// `null` are kept as `Content` (no heap), strings are borrowed when they
+/// carry no escapes, and the other values, which every request field
+/// refuses, are validated and skipped.
+enum Val<'a> {
+    Scalar(Content),
+    Str(Cow<'a, str>),
+    Other,
 }
 
-impl Num {
-    /// The shim's `u64::from_content` acceptance: `U64`, non-negative `I64`,
-    /// and non-negative integral `F64` (saturating cast).
-    fn as_u64(self) -> Result<u64, FastMiss> {
+impl Val<'_> {
+    /// Converts through the shim's own impl, so acceptance and error text
+    /// match the `Value` route by construction.
+    fn de<T: Deserialize>(&self) -> Result<T, serde::Error> {
         match self {
-            Num::U(v) => Ok(v),
-            Num::I(v) if v >= 0 => Ok(v as u64),
-            Num::F(v) if v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
-            _ => Err(FastMiss::Fallback),
+            Val::Scalar(c) => T::from_content(c),
+            Val::Str(s) => T::from_content(&Content::Str(s.to_string())),
+            Val::Other => T::from_content(&Content::Seq(Vec::new())),
         }
     }
 
-    fn as_u32(self) -> Result<u32, FastMiss> {
-        u32::try_from(self.as_u64()?).map_err(|_| FastMiss::Fallback)
+    /// A string converted by `fast` without a heap copy; anything `fast`
+    /// declines goes through [`Val::de`] for its exact value or error.
+    fn str_or_de<T: Deserialize>(
+        &self,
+        fast: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, serde::Error> {
+        match self {
+            Val::Str(s) => fast(s).map_or_else(|| self.de(), Ok),
+            _ => self.de(),
+        }
     }
 }
 
-/// Fixed-capacity unescape buffer for keys and short string values. Longer
-/// strings set `overflow` (the parse stays valid; the caller falls back or
-/// treats the key as unknown).
-struct SmallStr {
-    buf: [u8; SMALL_STR_CAP],
-    len: usize,
-    overflow: bool,
+/// The first field error in declaration order, as the derived impls
+/// report it.
+fn first_error<const N: usize>(errs: [Option<serde::Error>; N]) -> Option<serde::Error> {
+    errs.into_iter().flatten().next()
 }
 
-const SMALL_STR_CAP: usize = 64;
-
-impl SmallStr {
-    fn new() -> Self {
-        SmallStr {
-            buf: [0; SMALL_STR_CAP],
-            len: 0,
-            overflow: false,
-        }
-    }
-
-    fn push_bytes(&mut self, s: &[u8]) {
-        if self.len + s.len() <= SMALL_STR_CAP {
-            self.buf[self.len..self.len + s.len()].copy_from_slice(s);
-            self.len += s.len();
-        } else {
-            self.overflow = true;
-        }
-    }
-
-    fn push_char(&mut self, c: char) {
-        let mut tmp = [0u8; 4];
-        self.push_bytes(c.encode_utf8(&mut tmp).as_bytes());
-    }
-
-    /// The unescaped contents, or `None` if they did not fit.
-    fn as_str(&self) -> Option<&str> {
-        if self.overflow {
-            return None;
-        }
-        // Only built from validated pushes of `&str` slices / `char`s.
-        Some(unsafe { std::str::from_utf8_unchecked(&self.buf[..self.len]) })
-    }
-}
-
-struct FastParser<'a> {
+struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> FastParser<'a> {
+impl<'a> Parser<'a> {
+    /// A syntax error at the current offset, worded like the shim parser.
+    fn syntax(&self, msg: &str) -> Rejection {
+        Rejection(format!(
+            "malformed JSON: serde error: JSON parse error at byte {}: {msg}",
+            self.pos
+        ))
+    }
+
     fn peek(&self) -> Option<u8> {
         self.b.get(self.pos).copied()
     }
@@ -655,109 +625,262 @@ impl<'a> FastParser<'a> {
         }
     }
 
-    fn eat(&mut self, b: u8) -> Result<(), FastMiss> {
+    fn expect(&mut self, b: u8) -> Result<(), Rejection> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(FastMiss::Fallback)
+            Err(self.syntax(&format!("expected `{}`", b as char)))
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), FastMiss> {
+    fn literal(&mut self, lit: &str) -> Result<(), Rejection> {
         if self.b[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
-            Err(FastMiss::Fallback)
+            Err(self.syntax(&format!("expected `{lit}`")))
         }
     }
 
-    /// Parses a JSON string (validating escapes exactly like the shim
-    /// parser) into `dst`.
-    fn string_into(&mut self, dst: &mut SmallStr) -> Result<(), FastMiss> {
-        self.eat(b'"')?;
+    /// The whole line: one document, then only whitespace. A syntax error
+    /// anywhere wins over a type error, as the `Value` route parses before
+    /// it converts.
+    fn line(&mut self, out: &mut Vec<PredictRequest>) -> Result<DecodedShape, Rejection> {
+        self.skip_ws();
+        let routed = match self.peek() {
+            Some(b'{') => match self.request_obj(true)? {
+                (_, true) => Ok(DecodedShape::Cmd),
+                (Ok(req), false) => {
+                    out.push(req);
+                    Ok(DecodedShape::Single)
+                }
+                (Err(e), false) => Err(Rejection(format!("bad request: {e}"))),
+            },
+            Some(b'[') => {
+                let mut first_err = None;
+                self.array_items(|p| {
+                    let req = if p.peek() == Some(b'{') {
+                        p.request_obj(false)?.0
+                    } else {
+                        p.field_value()?.de()
+                    };
+                    match req {
+                        Ok(req) => out.push(req),
+                        Err(e) => {
+                            first_err.get_or_insert(e);
+                        }
+                    }
+                    Ok(())
+                })?;
+                match first_err {
+                    None => Ok(DecodedShape::Batch),
+                    Some(e) => Err(Rejection(format!("bad request batch: {e}"))),
+                }
+            }
+            _ => {
+                self.skip_value()?;
+                Err(Rejection("expected a JSON object or array".to_string()))
+            }
+        };
+        self.skip_ws();
+        if self.pos != self.b.len() {
+            return Err(self.syntax("trailing characters"));
+        }
+        routed
+    }
+
+    /// Enters a container at its opening bracket, enforcing [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), Rejection> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.syntax(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Walks an array, handing each element to `item` at its first byte.
+    fn array_items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), Rejection>,
+    ) -> Result<(), Rejection> {
+        self.open()?;
+        self.skip_ws();
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.syntax("expected `,` or `]`")),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Walks an object, handing each key to `entry` with the parser at the
+    /// first byte of its value.
+    fn object_entries(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Rejection>,
+    ) -> Result<(), Rejection> {
+        self.open()?;
+        self.skip_ws();
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                entry(self, key)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.syntax("expected `,` or `}`")),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Validates and discards any JSON value.
+    fn skip_value(&mut self) -> Result<(), Rejection> {
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array_items(Self::skip_value),
+            Some(b'{') => self.object_entries(|p, _| p.skip_value()),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(drop),
+            Some(c) => Err(self.syntax(&format!("unexpected `{}`", c as char))),
+            None => Err(self.syntax("unexpected end of input")),
+        }
+    }
+
+    fn field_value(&mut self) -> Result<Val<'a>, Rejection> {
+        Ok(match self.peek() {
+            Some(b'"') => Val::Str(self.string()?),
+            Some(b'n') => {
+                self.literal("null")?;
+                Val::Scalar(Content::Null)
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => Val::Scalar(self.number()?),
+            _ => {
+                self.skip_value()?;
+                Val::Other
+            }
+        })
+    }
+
+    /// Parses a JSON string, borrowing it from the line when it carries no
+    /// escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, Rejection> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let mut owned: Option<String> = None;
         loop {
             match self.peek() {
-                None => return Err(FastMiss::Fallback),
+                None => return Err(self.syntax("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(match owned {
+                        Some(s) => Cow::Owned(s),
+                        None => Cow::Borrowed(&self.s[start..self.pos - 1]),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(|| self.s[start..self.pos].to_string());
                     self.pos += 1;
-                    let esc = self.peek().ok_or(FastMiss::Fallback)?;
+                    let Some(esc) = self.peek() else {
+                        return Err(self.syntax("unterminated escape"));
+                    };
                     self.pos += 1;
                     match esc {
-                        b'"' => dst.push_bytes(b"\""),
-                        b'\\' => dst.push_bytes(b"\\"),
-                        b'/' => dst.push_bytes(b"/"),
-                        b'b' => dst.push_bytes(b"\x08"),
-                        b'f' => dst.push_bytes(b"\x0c"),
-                        b'n' => dst.push_bytes(b"\n"),
-                        b'r' => dst.push_bytes(b"\r"),
-                        b't' => dst.push_bytes(b"\t"),
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
                         b'u' => {
                             let hi = self.hex4()?;
-                            // Mirror the shim's surrogate-pair combination
-                            // (including its wrapping low-half arithmetic).
                             let cp = if (0xD800..0xDC00).contains(&hi) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + lo.wrapping_sub(0xDC00)
-                                } else {
-                                    return Err(FastMiss::Fallback);
+                                if self.peek() != Some(b'\\') {
+                                    return Err(self.syntax("lone surrogate"));
                                 }
+                                self.pos += 1;
+                                self.expect(b'u')?;
+                                let lo = self.hex4()?;
+                                // The shim's surrogate arithmetic, wrapping
+                                // as its release build does.
+                                0x10000u32
+                                    .wrapping_add((hi - 0xD800) << 10)
+                                    .wrapping_add(lo.wrapping_sub(0xDC00))
                             } else {
                                 hi
                             };
-                            dst.push_char(char::from_u32(cp).ok_or(FastMiss::Fallback)?);
+                            let Some(ch) = char::from_u32(cp) else {
+                                return Err(self.syntax("invalid codepoint"));
+                            };
+                            out.push(ch);
                         }
-                        _ => return Err(FastMiss::Fallback),
+                        _ => return Err(self.syntax("invalid escape")),
                     }
                 }
                 Some(_) => {
-                    // The input is `&str`, so a raw span up to the next
-                    // quote/backslash is valid UTF-8; copy it wholesale.
-                    let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                    // The line is `&str`, so the span up to the next quote
+                    // or backslash is valid UTF-8.
+                    let run = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    dst.push_bytes(&self.b[start..self.pos]);
+                    if let Some(out) = owned.as_mut() {
+                        out.push_str(&self.s[run..self.pos]);
+                    }
                 }
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, FastMiss> {
-        if self.pos + 4 > self.b.len() {
-            return Err(FastMiss::Fallback);
-        }
-        let s =
-            std::str::from_utf8(&self.b[self.pos..self.pos + 4]).map_err(|_| FastMiss::Fallback)?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| FastMiss::Fallback)?;
+    fn hex4(&mut self) -> Result<u32, Rejection> {
+        let Some(digits) = self.b.get(self.pos..self.pos + 4) else {
+            return Err(self.syntax("truncated \\u escape"));
+        };
+        let v = std::str::from_utf8(digits)
+            .ok()
+            .and_then(|s| u32::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.syntax("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
-    /// Consumes a number with exactly the shim parser's classification.
-    fn number(&mut self) -> Result<Num, FastMiss> {
+    /// Consumes a number with the shim parser's classification: integer
+    /// text becomes `U64`/`I64` (overflow falls back to `F64`), anything
+    /// with a `.` or exponent is `F64`.
+    fn number(&mut self) -> Result<Content, Rejection> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        self.digits();
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -765,259 +888,112 @@ impl<'a> FastParser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).map_err(|_| FastMiss::Fallback)?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Num::F)
-                .map_err(|_| FastMiss::Fallback)
+        let text = &self.s[start..self.pos];
+        let float = || text.parse().ok().map(Content::F64);
+        let n = if is_float {
+            float()
         } else if text.starts_with('-') {
-            match text.parse::<i64>() {
-                Ok(v) => Ok(Num::I(v)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Num::F)
-                    .map_err(|_| FastMiss::Fallback),
-            }
+            text.parse().ok().map(Content::I64).or_else(float)
         } else {
-            match text.parse::<u64>() {
-                Ok(v) => Ok(Num::U(v)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Num::F)
-                    .map_err(|_| FastMiss::Fallback),
-            }
-        }
+            text.parse().ok().map(Content::U64).or_else(float)
+        };
+        n.ok_or_else(|| self.syntax("invalid number"))
     }
 
-    /// Validates and discards any JSON value (unknown-key payloads).
-    fn skip_value(&mut self) -> Result<(), FastMiss> {
-        match self.peek() {
-            Some(b'n') => self.literal("null"),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'"') => {
-                let mut sink = SmallStr::new();
-                self.string_into(&mut sink)
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(FastMiss::Fallback),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    let mut sink = SmallStr::new();
-                    self.string_into(&mut sink)?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(FastMiss::Fallback),
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(|_| ()),
-            _ => Err(FastMiss::Fallback),
-        }
-    }
-
-    fn number_value(&mut self) -> Result<Num, FastMiss> {
-        match self.peek() {
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            // Wrong type (string/bool/null/object where a number belongs):
-            // the slow path owns the error message.
-            _ => Err(FastMiss::Fallback),
-        }
-    }
-
-    /// `null` → `None`, number → `Some(u64)` (shim `Option<u64>` semantics).
-    fn opt_u64_value(&mut self) -> Result<Option<u64>, FastMiss> {
-        if self.peek() == Some(b'n') {
-            self.literal("null")?;
-            return Ok(None);
-        }
-        Ok(Some(self.number_value()?.as_u64()?))
-    }
-
-    fn opt_u32_value(&mut self) -> Result<Option<u32>, FastMiss> {
-        if self.peek() == Some(b'n') {
-            self.literal("null")?;
-            return Ok(None);
-        }
-        Ok(Some(self.number_value()?.as_u32()?))
-    }
-
-    /// A short string value (workload ids, base names, class labels).
-    fn small_string_value(&mut self) -> Result<SmallStr, FastMiss> {
-        if self.peek() != Some(b'"') {
-            return Err(FastMiss::Fallback);
-        }
-        let mut s = SmallStr::new();
-        self.string_into(&mut s)?;
-        if s.overflow {
-            // Valid JSON, just longer than the fast path commits to; the
-            // slow path decodes it identically.
-            return Err(FastMiss::Fallback);
-        }
-        Ok(s)
-    }
-
-    fn arch_obj(&mut self) -> Result<ArchSpec, FastMiss> {
-        self.eat(b'{')?;
-        let mut spec = ArchSpec::default();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
-            return Ok(spec);
-        }
-        let mut key = SmallStr::new();
-        loop {
-            self.skip_ws();
-            key.len = 0;
-            key.overflow = false;
-            self.string_into(&mut key)?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            // Duplicate keys overwrite (the `Value` path's last-wins rule).
-            match key.as_str() {
-                Some("base") => {
-                    if self.peek() == Some(b'n') {
-                        self.literal("null")?;
-                        spec.base = None;
-                    } else {
-                        spec.base = Some(KeyStr::new(
-                            self.small_string_value()?
-                                .as_str()
-                                .ok_or(FastMiss::Fallback)?,
-                        ));
-                    }
-                }
-                Some("rob") => spec.rob = self.opt_u32_value()?,
-                Some("lq") => spec.lq = self.opt_u32_value()?,
-                Some("sq") => spec.sq = self.opt_u32_value()?,
-                Some("alu") => spec.alu = self.opt_u32_value()?,
-                Some("fp") => spec.fp = self.opt_u32_value()?,
-                Some("ls") => spec.ls = self.opt_u32_value()?,
-                Some("fetch") => spec.fetch = self.opt_u32_value()?,
-                Some("decode") => spec.decode = self.opt_u32_value()?,
-                Some("rename") => spec.rename = self.opt_u32_value()?,
-                Some("commit") => spec.commit = self.opt_u32_value()?,
-                Some("l1d") => spec.l1d = self.opt_u32_value()?,
-                Some("l1i") => spec.l1i = self.opt_u32_value()?,
-                Some("l2") => spec.l2 = self.opt_u32_value()?,
-                Some("prefetch") => spec.prefetch = self.opt_u32_value()?,
-                _ => self.skip_value()?,
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(spec);
-                }
-                _ => return Err(FastMiss::Fallback),
-            }
         }
     }
 
-    fn request_obj(&mut self, top_level: bool) -> Result<PredictRequest, FastMiss> {
-        self.eat(b'{')?;
+    /// A request object: the request or its first field error, and whether
+    /// a top-level object carries a `"cmd"` key (a control command,
+    /// whatever else it holds).
+    fn request_obj(
+        &mut self,
+        top_level: bool,
+    ) -> Result<(Result<PredictRequest, serde::Error>, bool), Rejection> {
         let mut req = PredictRequest::default();
+        // Indexed by `PredictRequest` field declaration order.
+        let mut errs: [Option<serde::Error>; 9] = Default::default();
         let mut have_workload = false;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            // `{}` is a missing-`workload` error; slow path words it.
-            return Err(FastMiss::Fallback);
-        }
-        let mut key = SmallStr::new();
-        loop {
-            self.skip_ws();
-            key.len = 0;
-            key.overflow = false;
-            self.string_into(&mut key)?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                // A top-level object with a `cmd` key is a control command,
-                // whatever else it carries.
-                Some("cmd") if top_level => return Err(FastMiss::Cmd),
-                Some("id") => req.id = self.number_value()?.as_u64()?,
-                Some("workload") => {
-                    req.workload = KeyStr::new(
-                        self.small_string_value()?
-                            .as_str()
-                            .ok_or(FastMiss::Fallback)?,
-                    );
+        let mut cmd = false;
+        self.object_entries(|p, key| {
+            let (i, set) = match &*key {
+                "id" => (0, p.field_value()?.de().map(|v| req.id = v)),
+                "workload" => {
                     have_workload = true;
+                    let v = p.field_value()?;
+                    (
+                        1,
+                        v.str_or_de(|s| Some(KeyStr::new(s)))
+                            .map(|v| req.workload = v),
+                    )
                 }
-                Some("trace") => req.trace = self.number_value()?.as_u32()?,
-                Some("start") => req.start = self.number_value()?.as_u64()?,
-                Some("len") => req.len = self.number_value()?.as_u32()?,
-                Some("arch") => {
-                    if self.peek() != Some(b'{') {
-                        return Err(FastMiss::Fallback);
-                    }
-                    req.arch = self.arch_obj()?;
+                "trace" => (2, p.field_value()?.de().map(|v| req.trace = v)),
+                "start" => (3, p.field_value()?.de().map(|v| req.start = v)),
+                "len" => (4, p.field_value()?.de().map(|v| req.len = v)),
+                "arch" => (5, p.arch_value()?.map(|v| req.arch = v)),
+                "deadline_ms" => (6, p.field_value()?.de().map(|v| req.deadline_ms = v)),
+                "class" => {
+                    let v = p.field_value()?;
+                    (7, v.str_or_de(RequestClass::parse).map(|v| req.class = v))
                 }
-                Some("deadline_ms") => req.deadline_ms = self.opt_u64_value()?,
-                Some("class") => {
-                    let s = self.small_string_value()?;
-                    req.class = RequestClass::parse(s.as_str().ok_or(FastMiss::Fallback)?)
-                        .ok_or(FastMiss::Fallback)?;
+                "schema_version" => (8, p.field_value()?.de().map(|v| req.schema_version = v)),
+                other => {
+                    cmd |= top_level && other == "cmd";
+                    return p.skip_value();
                 }
-                Some("schema_version") => req.schema_version = self.opt_u32_value()?,
-                _ => self.skip_value()?,
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(FastMiss::Fallback),
-            }
-        }
+            };
+            errs[i] = set.err();
+            Ok(())
+        })?;
         if !have_workload {
-            return Err(FastMiss::Fallback);
+            errs[1] = Some(serde::Error::custom(
+                "PredictRequest: missing field `workload`",
+            ));
         }
-        Ok(req)
+        Ok((first_error(errs).map_or(Ok(req), Err), cmd))
+    }
+
+    /// An `arch` value: the spec or its first field error.
+    fn arch_value(&mut self) -> Result<Result<ArchSpec, serde::Error>, Rejection> {
+        if self.peek() != Some(b'{') {
+            return Ok(self.field_value()?.de());
+        }
+        let mut spec = ArchSpec::default();
+        // Indexed by `ArchSpec` field declaration order.
+        let mut errs: [Option<serde::Error>; 15] = Default::default();
+        self.object_entries(|p, key| {
+            let (i, param) = match &*key {
+                "base" => {
+                    let v = p.field_value()?;
+                    let set = v.str_or_de(|s| Some(Some(KeyStr::new(s))));
+                    errs[0] = set.map(|b| spec.base = b).err();
+                    return Ok(());
+                }
+                "rob" => (1, &mut spec.rob),
+                "lq" => (2, &mut spec.lq),
+                "sq" => (3, &mut spec.sq),
+                "alu" => (4, &mut spec.alu),
+                "fp" => (5, &mut spec.fp),
+                "ls" => (6, &mut spec.ls),
+                "fetch" => (7, &mut spec.fetch),
+                "decode" => (8, &mut spec.decode),
+                "rename" => (9, &mut spec.rename),
+                "commit" => (10, &mut spec.commit),
+                "l1d" => (11, &mut spec.l1d),
+                "l1i" => (12, &mut spec.l1i),
+                "l2" => (13, &mut spec.l2),
+                "prefetch" => (14, &mut spec.prefetch),
+                _ => return p.skip_value(),
+            };
+            errs[i] = p.field_value()?.de().map(|v| *param = v).err();
+            Ok(())
+        })?;
+        Ok(first_error(errs).map_or(Ok(spec), Err))
     }
 }
 

@@ -28,15 +28,15 @@
 //! [`ServeConfig::read_timeout`](crate::ServeConfig::read_timeout) (when
 //! configured) is reaped.
 //!
-//! Request lines take a zero-allocation fast path once a connection is
-//! warm: a single-pass borrowed decoder
-//! ([`decode_request_line`](crate::protocol::decode_request_line)) fills a
-//! reusable request buffer, the whole batch enqueues under one shard lock
-//! against recycled response slots, and the reply is encoded into a
-//! per-connection buffer and written with one `write` + `flush`. Control
-//! commands, malformed input, and anything the fast decoder declines fall
-//! back to the `serde_json::Value` path, which stays the single source of
-//! truth for error messages.
+//! Every line goes through one decoder, [`decode_request_line`], which
+//! fills a reusable request buffer in a single pass, names a control
+//! command, or rejects the line with its `{"error": ...}` reply text
+//! (malformed JSON, nesting deeper than 128 levels, a bad field). Once a
+//! connection is warm a request line costs no heap allocation: the whole
+//! batch enqueues under one shard lock against recycled response slots,
+//! and the reply is encoded into a per-connection buffer. Every reply is
+//! one `write` on a `TCP_NODELAY` socket, so no reply waits on Nagle and
+//! the peer's delayed ACK.
 //!
 //! A connection arriving past the cap is answered with one typed error line
 //! — `{"error": ..., "type": "busy", ...}` — and closed, so clients can
@@ -54,10 +54,12 @@ use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 
-use crate::protocol::{decode_request_line, DecodedShape, PredictRequest, PredictResponse};
-use crate::service::{submit_many, submit_slot, Job, PredictionService};
+use crate::protocol::{
+    decode_request_line, encode_error_into, DecodedShape, PredictRequest, PredictResponse,
+};
+use crate::service::{submit_many, submit_waiting, Job, PredictionService};
 use crate::slots::SlotReceiver;
-use crate::{Client, ServeError};
+use crate::Client;
 
 /// The served workload catalog (shared with `concorde workloads --json`):
 /// the 29-program suite plus any dynamic workloads (e.g. resolved
@@ -276,29 +278,17 @@ fn read_bounded_line(
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// One reply owed by the fast path, in request order: a live response slot,
-/// or an error response minted at submit time (a failed submission keeps
-/// its place in the reply array instead of discarding the batch).
-enum Pending {
-    Rx(SlotReceiver),
-    Err(PredictResponse),
-}
-
 /// Per-connection reusable buffers. Once warm, a request line is read,
 /// decoded, submitted, received, and answered entirely out of these — zero
 /// heap allocations end to end.
 #[derive(Default)]
 struct ConnScratch {
     reqs: Vec<PredictRequest>,
+    /// The ids of the line's requests, for replies that carry no response.
+    ids: Vec<u64>,
     rxs: Vec<SlotReceiver>,
     jobs: Vec<Job>,
-    pending: Vec<Pending>,
+    /// The reply line under construction.
     out: String,
 }
 
@@ -313,6 +303,9 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
     // clock between blocking reads.
     let poll = idle_after.map_or(READ_POLL, |t| t.min(READ_POLL));
     stream.set_read_timeout(Some(poll))?;
+    // Request/reply exchanges: with Nagle on, a reply's segment can wait
+    // for the ACK the client delays (~40 ms) while it waits for the reply.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut raw = Vec::new();
@@ -330,7 +323,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
                     "reason": "oversized",
                     "max_line_bytes": max_line,
                 });
-                let _ = write_line(&mut writer, &reply.to_string());
+                let _ = writer.write_all(format!("{reply}\n").as_bytes());
                 break;
             }
         }
@@ -338,29 +331,27 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
             Ok(l) => l,
             Err(e) => {
                 let reply = json!({ "error": format!("malformed JSON: invalid UTF-8: {e}") });
-                let _ = write_line(&mut writer, &reply.to_string());
+                let _ = writer.write_all(format!("{reply}\n").as_bytes());
                 break;
             }
         };
         if line.trim().is_empty() {
             continue;
         }
-        // Warm path: single-pass borrowed decode straight into the scratch
-        // request buffer. Anything the fast decoder declines — control
-        // objects, malformed JSON, exotic shapes — falls back to the
-        // `Value` path, which owns error messages and `cmd` handling.
+        scratch.out.clear();
         match decode_request_line(line, &mut scratch.reqs) {
-            Ok(shape) => handle_fast(&client, shape, &mut writer, &mut scratch)?,
-            Err(_) => {
-                let reply = handle_line(&client, line);
-                if shared.faults.on_reply() {
-                    // Injected mid-reply socket drop: the engine answered,
-                    // but the client sees the connection die first.
-                    break;
-                }
-                write_line(&mut writer, &reply.to_string())?;
-            }
+            Ok(DecodedShape::Cmd) => scratch.out.push_str(&handle_cmd(&client, line).to_string()),
+            Ok(shape) => answer_requests(&client, shape, &mut scratch),
+            Err(rejection) => rejection.encode_json_into(&mut scratch.out),
         }
+        if shared.faults.on_reply() {
+            // Injected mid-reply socket drop: the engine answered, but the
+            // client sees the connection die first.
+            break;
+        }
+        // One write per reply, newline included.
+        scratch.out.push('\n');
+        writer.write_all(scratch.out.as_bytes())?;
         // A draining server finishes the in-flight line, answers it, and
         // closes; the client's next request must reconnect elsewhere.
         if shared.draining.load(Ordering::SeqCst) {
@@ -371,153 +362,81 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The warm wire path: a fast-decoded request line is submitted as one
-/// batch against recycled response slots, and the reply is encoded into the
-/// connection's reusable buffer — one `write` + `flush` for the whole
-/// batch. Submission failures are answered per request, in place, so one
-/// failed enqueue never drops replies to requests already submitted.
-fn handle_fast(
-    client: &Client,
-    shape: DecodedShape,
-    writer: &mut TcpStream,
-    s: &mut ConnScratch,
-) -> std::io::Result<()> {
+/// Submits a decoded request line as one batch against recycled response
+/// slots and encodes the reply into `s.out`: one object for a single
+/// request, an in-order array for a batch. A request whose submission or
+/// answer failed gets its own error object in place, so one failure never
+/// drops the replies of requests already submitted.
+fn answer_requests(client: &Client, shape: DecodedShape, s: &mut ConnScratch) {
     let shared = client.shared();
-    s.pending.clear();
-    match submit_many(shared, &mut s.reqs, &mut s.rxs, &mut s.jobs) {
-        Ok(()) => s.pending.extend(s.rxs.drain(..).map(Pending::Rx)),
-        Err(e) if shape == DecodedShape::Single => {
-            // Single requests keep the legacy contract: an immediate
-            // `{"error": ...}` object (no retry) when the queue is full or
-            // the service is shutting down.
-            s.reqs.clear();
-            let reply = json!({ "error": e.to_string() });
-            return write_line(writer, &reply.to_string());
-        }
-        Err(ServeError::QueueFull) => {
-            // The bulk all-or-nothing reservation did not fit; degrade to
-            // per-request submission with the same sleep-poll backpressure
-            // as `Client::submit_blocking`, which makes progress even when
-            // the batch exceeds the entire queue capacity.
-            for req in s.reqs.drain(..) {
-                let pend = loop {
-                    match submit_slot(shared, req.clone()) {
-                        Ok(rx) => break Pending::Rx(rx),
-                        Err(ServeError::QueueFull) => {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        Err(e) => {
-                            break Pending::Err(PredictResponse::err(req.id, e.to_string(), 0))
-                        }
-                    }
-                };
-                s.pending.push(pend);
-            }
-        }
-        Err(e) => {
-            // Shutting down before anything enqueued: every request in the
-            // batch gets its own error response, in order.
-            for req in s.reqs.drain(..) {
-                s.pending
-                    .push(Pending::Err(PredictResponse::err(req.id, e.to_string(), 0)));
-            }
-        }
-    }
-    s.out.clear();
+    s.ids.clear();
+    s.ids.extend(s.reqs.iter().map(|r| r.id));
     let batch = shape == DecodedShape::Batch;
+    let failed = if batch {
+        submit_waiting(shared, &mut s.reqs, &mut s.rxs, &mut s.jobs).err()
+    } else if let Err(e) = submit_many(shared, &mut s.reqs, &mut s.rxs, &mut s.jobs) {
+        // A single request gets an immediate `{"error": ...}` object when
+        // the queue is full or the service is shutting down; it does not
+        // wait.
+        encode_error_into(&mut s.out, &e.to_string());
+        return;
+    } else {
+        None
+    };
     if batch {
         s.out.push('[');
     }
-    for (i, pend) in s.pending.drain(..).enumerate() {
-        if i > 0 {
+    let start = s.out.len();
+    let mut ids = s.ids.iter();
+    for (rx, &id) in s.rxs.drain(..).zip(&mut ids) {
+        if s.out.len() > start {
             s.out.push(',');
         }
-        match pend {
-            Pending::Err(resp) => resp.encode_json_into(&mut s.out),
-            Pending::Rx(rx) => rx.recv().encode_json_into(&mut s.out),
+        rx.recv()
+            .unwrap_or_else(|e| PredictResponse::err(id, e.to_string(), 0))
+            .encode_json_into(&mut s.out);
+    }
+    if let Some(e) = failed {
+        // Submission stopped before these requests.
+        for &id in ids {
+            if s.out.len() > start {
+                s.out.push(',');
+            }
+            PredictResponse::err(id, e.to_string(), 0).encode_json_into(&mut s.out);
         }
     }
     if batch {
         s.out.push(']');
     }
-    s.out.push('\n');
-    if shared.faults.on_reply() {
-        // Injected mid-reply socket drop: the engine already answered every
-        // slot; the client sees the connection die instead of the reply.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::BrokenPipe,
-            "injected fault: reply dropped",
-        ));
-    }
-    writer.write_all(s.out.as_bytes())?;
-    writer.flush()
 }
 
-fn handle_line(client: &Client, line: &str) -> Value {
-    let parsed: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => return json!({ "error": format!("malformed JSON: {e}") }),
+/// Answers a control line. The decoder has already checked its syntax and
+/// nesting depth and found its top-level `"cmd"` key.
+fn handle_cmd(client: &Client, line: &str) -> Value {
+    // Only a disagreement between the decoder and the shim parser could
+    // make this parse fail.
+    let Ok(Value::Object(obj)) = serde_json::from_str::<Value>(line) else {
+        return json!({ "error": "malformed JSON: control line failed to parse" });
     };
-    match parsed {
-        Value::Array(_) => {
-            let reqs: Vec<PredictRequest> = match serde_json::from_value(parsed) {
-                Ok(r) => r,
-                Err(e) => return json!({ "error": format!("bad request batch: {e}") }),
-            };
-            // Submit all with backpressure, then collect in order. A
-            // submission or delivery failure is answered per request, in
-            // place — it used to collapse the whole reply into one error
-            // object, silently dropping the responses of requests already
-            // submitted (and leaving the client unable to match replies to
-            // requests).
-            let pending: Vec<_> = reqs
-                .into_iter()
-                .map(|req| (req.id, client.submit_blocking(req)))
-                .collect();
-            let resps: Vec<PredictResponse> = pending
-                .into_iter()
-                .map(|(id, sub)| {
-                    sub.and_then(|rx| rx.recv().map_err(|_| ServeError::Disconnected))
-                        .unwrap_or_else(|e| PredictResponse::err(id, e.to_string(), 0))
-                })
-                .collect();
-            serde_json::to_value(&resps).expect("serialize responses")
-        }
-        Value::Object(ref obj) if obj.contains_key("cmd") => {
-            match obj.get("cmd").and_then(Value::as_str) {
-                Some("ping") => json!({ "ok": true }),
-                Some("metrics") => {
-                    if obj.get("format").and_then(Value::as_str) == Some("prometheus") {
-                        json!({ "text": client.prometheus_metrics() })
-                    } else {
-                        serde_json::to_value(&client.service_metrics()).expect("serialize metrics")
-                    }
-                }
-                Some("stats") => {
-                    serde_json::to_value(&client.service_stats()).expect("serialize stats")
-                }
-                Some("drain") => {
-                    // Same flag `begin_drain` / the CLI's SIGTERM watcher
-                    // set: the accept loop stops admitting, handlers close
-                    // after their in-flight line, `serve_tcp` returns.
-                    client.shared().draining.store(true, Ordering::SeqCst);
-                    json!({ "ok": true, "draining": true })
-                }
-                Some("workloads") => workload_catalog(),
-                Some("schema") => serde_json::to_value(&client.schema()).expect("serialize schema"),
-                other => json!({ "error": format!("unknown cmd {other:?}") }),
+    match obj.get("cmd").and_then(Value::as_str) {
+        Some("ping") => json!({ "ok": true }),
+        Some("metrics") => {
+            if obj.get("format").and_then(Value::as_str) == Some("prometheus") {
+                json!({ "text": client.prometheus_metrics() })
+            } else {
+                serde_json::to_value(&client.service_metrics()).expect("serialize metrics")
             }
         }
-        obj @ Value::Object(_) => {
-            let req: PredictRequest = match serde_json::from_value(obj) {
-                Ok(r) => r,
-                Err(e) => return json!({ "error": format!("bad request: {e}") }),
-            };
-            match client.predict(req) {
-                Ok(resp) => serde_json::to_value(&resp).expect("serialize response"),
-                Err(e) => json!({ "error": e.to_string() }),
-            }
+        Some("stats") => serde_json::to_value(&client.service_stats()).expect("serialize stats"),
+        Some("drain") => {
+            // Same flag `begin_drain` / the CLI's SIGTERM watcher set: the
+            // accept loop stops admitting, handlers close after their
+            // in-flight line, `serve_tcp` returns.
+            client.shared().draining.store(true, Ordering::SeqCst);
+            json!({ "ok": true, "draining": true })
         }
-        _ => json!({ "error": "expected a JSON object or array" }),
+        Some("workloads") => workload_catalog(),
+        Some("schema") => serde_json::to_value(&client.schema()).expect("serialize schema"),
+        other => json!({ "error": format!("unknown cmd {other:?}") }),
     }
 }

@@ -29,7 +29,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -257,7 +256,7 @@ pub enum ServeError {
     QueueFull,
     /// The service is shutting down.
     ShuttingDown,
-    /// The worker dropped the response channel (service torn down mid-call).
+    /// The service dropped the request without answering it.
     Disconnected,
 }
 
@@ -538,32 +537,13 @@ pub struct CacheReport {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// Where a job's response goes: a recycled slot from the service's
-/// [`SlotPool`] (the warm path — no per-request channel allocation), or a
-/// plain mpsc sender (the compatibility shim behind [`crate::Client::submit`],
-/// whose public signature returns an `mpsc::Receiver`).
-pub(crate) enum ResponseTx {
-    /// Generation-tagged slab slot (see [`crate::slots`]).
-    Slot(SlotSender),
-    /// Legacy per-request channel.
-    Mpsc(mpsc::Sender<PredictResponse>),
-}
-
-impl ResponseTx {
-    fn send(&self, resp: PredictResponse) {
-        match self {
-            ResponseTx::Slot(tx) => tx.send(resp),
-            ResponseTx::Mpsc(tx) => {
-                let _ = tx.send(resp);
-            }
-        }
-    }
-}
-
 pub(crate) struct Job {
     req: PredictRequest,
     enqueued: Instant,
-    tx: ResponseTx,
+    /// The job's reply slot (see [`crate::slots`]). A job dropped without
+    /// an answer closes it, so its submitter gets
+    /// [`ServeError::Disconnected`] instead of waiting forever.
+    tx: SlotSender,
     /// True once the job has been parked on an in-flight precompute and
     /// re-enqueued: its store was built on demand, so the response must
     /// report `cached: false` even though the re-run finds a cache hit.
@@ -1034,7 +1014,7 @@ impl Drop for PredictionService {
 
 /// Builds a [`Job`] around `req`, resolving its effective deadline (the
 /// EDF key the precompute pool orders builds by).
-fn make_job(shared: &Shared, req: PredictRequest, tx: ResponseTx) -> Job {
+fn make_job(shared: &Shared, req: PredictRequest, tx: SlotSender) -> Job {
     let enqueued = Instant::now();
     let deadline = effective_slo(&req, &shared.cfg.class_slo).map(|d| enqueued + d);
     Job {
@@ -1101,29 +1081,12 @@ fn push_one(shared: &Shared, job: Job) {
     notify_enqueued(shared, idx, 1);
 }
 
-/// Submit via the legacy per-request mpsc channel — the compatibility shim
-/// behind [`crate::Client::submit`], whose public signature returns an
-/// `mpsc::Receiver`. The warm wire path uses [`submit_slot`]/[`submit_many`]
-/// instead.
-pub(crate) fn submit(
-    shared: &Shared,
-    req: PredictRequest,
-) -> Result<mpsc::Receiver<PredictResponse>, ServeError> {
-    let (tx, rx) = mpsc::channel();
-    reserve(shared, 1)?;
-    push_one(shared, make_job(shared, req, ResponseTx::Mpsc(tx)));
-    Ok(rx)
-}
-
 /// Submit against a recycled response slot (no per-request allocation once
 /// the slab is warm). Dropping the returned receiver releases the slot.
-pub(crate) fn submit_slot(
-    shared: &Shared,
-    req: PredictRequest,
-) -> Result<SlotReceiver, ServeError> {
+pub(crate) fn submit(shared: &Shared, req: PredictRequest) -> Result<SlotReceiver, ServeError> {
     reserve(shared, 1)?;
-    let rx = shared.slot_pool.acquire();
-    push_one(shared, make_job(shared, req, ResponseTx::Slot(rx.sender())));
+    let (tx, rx) = shared.slot_pool.channel();
+    push_one(shared, make_job(shared, req, tx));
     Ok(rx)
 }
 
@@ -1149,8 +1112,8 @@ pub(crate) fn submit_many(
     reserve(shared, n)?;
     jobs.clear();
     for req in reqs.drain(..) {
-        let rx = shared.slot_pool.acquire();
-        jobs.push(make_job(shared, req, ResponseTx::Slot(rx.sender())));
+        let (tx, rx) = shared.slot_pool.channel();
+        jobs.push(make_job(shared, req, tx));
         rxs.push(rx);
     }
     let idx = shared.rr.fetch_add(1, Ordering::Relaxed) % shared.shards.len();
@@ -1164,6 +1127,45 @@ pub(crate) fn submit_many(
         .submitted
         .fetch_add(n as u64, Ordering::Relaxed);
     notify_enqueued(shared, idx, n);
+    Ok(())
+}
+
+/// Submits every request of `reqs` in order, appending one receiver per
+/// request to `rxs`. The whole batch enqueues under one shard lock when it
+/// fits ([`submit_many`]); a queue too full for that degrades to
+/// per-request submission that sleeps out [`ServeError::QueueFull`], which
+/// makes progress even when the batch exceeds the entire queue capacity.
+///
+/// # Errors
+///
+/// [`ServeError::ShuttingDown`]: `rxs` then holds the receivers of the
+/// requests already submitted and `reqs` the rest, in order.
+pub(crate) fn submit_waiting(
+    shared: &Shared,
+    reqs: &mut Vec<PredictRequest>,
+    rxs: &mut Vec<SlotReceiver>,
+    jobs: &mut Vec<Job>,
+) -> Result<(), ServeError> {
+    match submit_many(shared, reqs, rxs, jobs) {
+        Err(ServeError::QueueFull) => {}
+        submitted => return submitted,
+    }
+    for done in 0..reqs.len() {
+        loop {
+            match submit(shared, reqs[done].clone()) {
+                Ok(rx) => {
+                    rxs.push(rx);
+                    break;
+                }
+                Err(ServeError::QueueFull) => std::thread::sleep(Duration::from_micros(200)),
+                Err(e) => {
+                    reqs.drain(..done);
+                    return Err(e);
+                }
+            }
+        }
+    }
+    reqs.clear();
     Ok(())
 }
 
@@ -2284,5 +2286,91 @@ mod tests {
         req.deadline_ms = None;
         req.class = RequestClass::Batch;
         assert_eq!(effective_slo(&req, &slo), None);
+    }
+
+    /// Parks one in-process and one TCP request on a held store build,
+    /// then drops both jobs unanswered, as a worker losing its batch to an
+    /// escaped panic does.
+    #[test]
+    fn a_job_dropped_unanswered_replies_disconnected() {
+        use crate::ArchSpec;
+        use concorde_core::prelude::{
+            generate_dataset, train_model, ArchSampling, DatasetConfig, TrainOptions,
+        };
+        use std::io::{BufRead, BufReader, Write};
+
+        let mut profile = ReproProfile::quick();
+        profile.region_len = 2_048;
+        profile.warmup_len = 2_048;
+        profile.epochs = 1;
+        let data = generate_dataset(&DatasetConfig {
+            profile: profile.clone(),
+            n: 8,
+            seed: 5,
+            arch: ArchSampling::Random,
+            workloads: Some(vec![15, 20]),
+            threads: 0,
+        });
+        let model = train_model(&data, &profile, &TrainOptions::default());
+        let faults = Arc::new(FaultPlan::default().hold_build_at(vec![1], Duration::from_secs(60)));
+        let service: &'static PredictionService = Box::leak(Box::new(PredictionService::start(
+            model,
+            profile,
+            ServeConfig {
+                workers: 1,
+                precompute_workers: 1,
+                fault_plan: Some(Arc::clone(&faults)),
+                ..ServeConfig::default()
+            },
+        )));
+        let shared = &service.shared;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || service.serve_tcp(listener));
+
+        let client = service.client();
+        let in_process = std::thread::spawn(move || {
+            client.predict(PredictRequest::new(1, "S5", ArchSpec::base("n1")))
+        });
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap());
+        let line = "{\"id\":7,\"workload\":\"S5\",\"arch\":{\"base\":\"n1\"}}\n";
+        conn.write_all(line.as_bytes()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while shared.snapshot().parked < 2 {
+            assert!(Instant::now() < deadline, "requests never parked");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let lost: Vec<Job> = shared
+            .inflight
+            .lock()
+            .unwrap()
+            .values_mut()
+            .flat_map(|jobs| jobs.drain(..))
+            .collect();
+        assert_eq!(lost.len(), 2);
+        drop(lost);
+
+        assert_eq!(
+            in_process.join().unwrap().unwrap_err(),
+            ServeError::Disconnected
+        );
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        let resp: PredictResponse = serde_json::from_str(&reply).unwrap();
+        assert_eq!(resp.id, 7);
+        assert_eq!(
+            resp.error.as_deref(),
+            Some("service dropped the in-flight request")
+        );
+
+        // The connection stays in order: once the build lands, the same
+        // line gets its prediction.
+        faults.release_held_builds();
+        conn.write_all(line.as_bytes()).unwrap();
+        reply.clear();
+        replies.read_line(&mut reply).unwrap();
+        let resp: PredictResponse = serde_json::from_str(&reply).unwrap();
+        assert!(resp.error.is_none() && resp.cpi.is_some(), "{reply}");
     }
 }

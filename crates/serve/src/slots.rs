@@ -1,21 +1,23 @@
-//! Reusable response slots: the warm path's replacement for per-request
-//! `mpsc::channel()` pairs.
+//! Reusable response slots: the one reply channel between a submitted job
+//! and its submitter.
 //!
-//! `submit()` used to allocate a fresh mpsc channel (sender + receiver +
-//! internal queue) for every request. A [`SlotPool`] instead recycles a slab
-//! of [`SlotInner`]s: acquiring a slot pops a free index (no allocation when
-//! warm), the worker delivers through an [`SlotSender`], and dropping the
-//! [`SlotReceiver`] bumps the slot's **generation** and returns it to the
-//! free list. A parked job can hold its sender arbitrarily long: if the
-//! receiver has moved on, the generation no longer matches and the late
-//! delivery is discarded instead of leaking into a recycled request. The
-//! legacy mpsc path stays available as a compatibility shim via
-//! [`crate::service::ResponseTx`].
+//! A [`SlotPool`] recycles a slab of `SlotInner`s: [`SlotPool::channel`]
+//! pops a free index (no allocation when warm) and hands out one
+//! [`SlotSender`], carried inside the job, and one [`SlotReceiver`], held
+//! by the submitter. Dropping the receiver bumps the slot's **generation**
+//! and returns it to the free list. A parked job can hold its sender
+//! arbitrarily long: if the receiver has moved on, the generation no longer
+//! matches and the late delivery is discarded instead of leaking into a
+//! recycled request.
+//!
+//! A sender dropped without sending closes its generation, so the receiver
+//! gets [`ServeError::Disconnected`] instead of waiting forever: a job the
+//! engine loses unanswered still gets exactly one (error) reply.
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::protocol::PredictResponse;
+use crate::service::ServeError;
 
 /// One response slot: a generation-tagged mailbox holding at most one
 /// response per generation, so warm deliveries never allocate.
@@ -31,6 +33,9 @@ struct SlotState {
     /// stale generation are ignored.
     gen: u64,
     msg: Option<PredictResponse>,
+    /// The generation's sender has sent or been dropped: once `msg` is
+    /// taken, nothing more will arrive.
+    closed: bool,
 }
 
 /// A recycling slab of response slots. One per service.
@@ -46,15 +51,20 @@ struct PoolInner {
 }
 
 impl SlotPool {
-    /// Acquires a slot, growing the slab only when the free list is empty.
-    pub fn acquire(self: &Arc<Self>) -> SlotReceiver {
+    /// Acquires a slot, growing the slab only when the free list is empty,
+    /// and returns its one sender and its receiver.
+    pub fn channel(self: &Arc<Self>) -> (SlotSender, SlotReceiver) {
         let (slot, idx) = {
             let mut p = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             match p.free.pop() {
                 Some(idx) => (Arc::clone(&p.slots[idx as usize]), idx),
                 None => {
                     let slot = Arc::new(SlotInner {
-                        state: Mutex::new(SlotState { gen: 0, msg: None }),
+                        state: Mutex::new(SlotState {
+                            gen: 0,
+                            msg: None,
+                            closed: false,
+                        }),
                         cv: Condvar::new(),
                     });
                     p.slots.push(Arc::clone(&slot));
@@ -63,12 +73,16 @@ impl SlotPool {
             }
         };
         let gen = slot.state.lock().unwrap_or_else(|e| e.into_inner()).gen;
-        SlotReceiver {
-            slot,
+        let tx = SlotSender {
+            slot: Arc::clone(&slot),
             gen,
+        };
+        let rx = SlotReceiver {
+            slot,
             idx,
             pool: Arc::clone(self),
-        }
+        };
+        (tx, rx)
     }
 
     /// Slots currently live (acquired at least once).
@@ -86,49 +100,27 @@ impl SlotPool {
 #[derive(Debug)]
 pub struct SlotReceiver {
     slot: Arc<SlotInner>,
-    gen: u64,
     idx: u32,
     pool: Arc<SlotPool>,
 }
 
 impl SlotReceiver {
-    /// A sender delivering into this slot's current generation.
-    pub fn sender(&self) -> SlotSender {
-        SlotSender {
-            slot: Arc::clone(&self.slot),
-            gen: self.gen,
-        }
-    }
-
-    /// Blocks until a response is delivered.
-    pub fn recv(&self) -> PredictResponse {
+    /// Blocks until the response arrives.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Disconnected`] when the job was dropped without an
+    /// answer, or when its one answer has already been received.
+    pub fn recv(&self) -> Result<PredictResponse, ServeError> {
         let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(r) = st.msg.take() {
-                return r;
+                return Ok(r);
+            }
+            if st.closed {
+                return Err(ServeError::Disconnected);
             }
             st = self.slot.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until a response is delivered or `timeout` elapses.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<PredictResponse> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(r) = st.msg.take() {
-                return Some(r);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = self
-                .slot
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
         }
     }
 
@@ -152,6 +144,7 @@ impl Drop for SlotReceiver {
             // request.
             st.gen = st.gen.wrapping_add(1);
             st.msg = None;
+            st.closed = false;
         }
         self.pool
             .inner
@@ -162,10 +155,11 @@ impl Drop for SlotReceiver {
     }
 }
 
-/// Sending half of a slot, carried inside a queued/parked job. Cloneable;
-/// deliveries against a retired generation are silently dropped (the same
-/// contract as sending on a closed mpsc channel).
-#[derive(Debug, Clone)]
+/// Sending half of a slot, carried inside a queued or parked job.
+/// Deliveries against a retired generation are silently dropped; dropping
+/// the sender unsent answers the receiver with
+/// [`ServeError::Disconnected`].
+#[derive(Debug)]
 pub struct SlotSender {
     slot: Arc<SlotInner>,
     gen: u64,
@@ -176,11 +170,24 @@ impl SlotSender {
     /// The service answers each request once, so a generation receives at
     /// most one response.
     pub fn send(&self, resp: PredictResponse) {
+        self.close(Some(resp));
+    }
+
+    /// Closes this generation with `resp` as its one message, unless it is
+    /// already closed or retired.
+    fn close(&self, resp: Option<PredictResponse>) {
         let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.gen == self.gen {
-            st.msg = Some(resp);
+        if st.gen == self.gen && !st.closed {
+            st.msg = resp;
+            st.closed = true;
             self.slot.cv.notify_all();
         }
+    }
+}
+
+impl Drop for SlotSender {
+    fn drop(&mut self) {
+        self.close(None);
     }
 }
 
@@ -191,57 +198,55 @@ mod tests {
     #[test]
     fn delivers_then_ignores_a_late_sender_and_recycles() {
         let pool = Arc::new(SlotPool::default());
-        let rx = pool.acquire();
-        let tx = rx.sender();
+        let (tx, rx) = pool.channel();
         tx.send(PredictResponse::ok(1, 1.0, false, 5));
-        assert_eq!(rx.recv().cpi, Some(1.0));
+        assert_eq!(rx.recv().unwrap().cpi, Some(1.0));
+        // One answer per request: the next receive reports the closed slot.
+        assert_eq!(rx.recv().unwrap_err(), ServeError::Disconnected);
         drop(rx);
         // A sender that outlives its receiver delivers into a retired
         // generation: a no-op, even before the slot is handed out again.
         tx.send(PredictResponse::ok(1, 2.0, false, 9));
         // Same slab slot is reused, and the late delivery is not in it.
-        let rx2 = pool.acquire();
+        let (_tx2, rx2) = pool.channel();
         assert_eq!(pool.capacity(), 1);
         assert!(rx2.try_recv().is_none(), "late delivery must not leak");
-        drop(rx2);
     }
 
     #[test]
     fn stale_generation_is_dropped() {
         let pool = Arc::new(SlotPool::default());
-        let rx = pool.acquire();
-        let stale = rx.sender();
+        let (stale, rx) = pool.channel();
         drop(rx); // retire the generation
-        let rx2 = pool.acquire(); // recycles the same slot
+        let (fresh, rx2) = pool.channel(); // recycles the same slot
         stale.send(PredictResponse::ok(7, 1.0, false, 1));
         assert!(rx2.try_recv().is_none(), "stale delivery must not leak");
-        let fresh = rx2.sender();
         fresh.send(PredictResponse::ok(8, 2.0, false, 1));
-        assert_eq!(rx2.recv().id, 8);
+        assert_eq!(rx2.recv().unwrap().id, 8);
     }
 
     #[test]
-    fn recv_timeout_times_out_then_delivers() {
+    fn dropped_sender_disconnects_its_receiver_only() {
         let pool = Arc::new(SlotPool::default());
-        let rx = pool.acquire();
-        assert!(rx.recv_timeout(Duration::from_millis(5)).is_none());
-        let tx = rx.sender();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            tx.send(PredictResponse::ok(3, 1.5, true, 2));
-        });
-        let got = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
-        assert_eq!(got.id, 3);
+        let (stale, rx) = pool.channel();
+        drop(rx);
+        let (tx, rx) = pool.channel();
+        // An unsent stale sender leaves the recycled slot open…
+        drop(stale);
+        assert!(rx.try_recv().is_none());
+        // …while this generation's unsent sender answers its receiver,
+        // blocked or not, with the disconnect error.
+        let h = std::thread::spawn(move || drop(tx));
+        assert_eq!(rx.recv().unwrap_err(), ServeError::Disconnected);
         h.join().unwrap();
     }
 
     #[test]
     fn cross_thread_wakeup() {
         let pool = Arc::new(SlotPool::default());
-        let rx = pool.acquire();
-        let tx = rx.sender();
+        let (tx, rx) = pool.channel();
         let h = std::thread::spawn(move || tx.send(PredictResponse::ok(9, 0.5, false, 1)));
-        assert_eq!(rx.recv().id, 9);
+        assert_eq!(rx.recv().unwrap().id, 9);
         h.join().unwrap();
     }
 }

@@ -1,17 +1,22 @@
-//! Property tests pinning the wire fast path to the slow path it replaces.
+//! Property tests pinning the wire decoder and encoder to the
+//! `serde_json` routes they replace.
 //!
-//! 1. **Decoder equivalence** — for any line, if the single-pass borrowed
-//!    decoder ([`decode_request_line`]) accepts it, the legacy
-//!    `serde_json::Value` route must parse it to field-identical requests;
-//!    a [`FastMiss::Cmd`] must only ever fire on a top-level object that
-//!    really carries a `"cmd"` key; and on canonical request lines (what
-//!    [`TcpClient`](concorde_suite::serve::TcpClient) itself emits) the
-//!    fast path must actually engage — the property is not vacuous.
-//! 2. **Encoder equivalence** — [`PredictResponse::encode_json_into`] must
+//! 1. **Decoder equivalence** — for any line, the single-pass decoder
+//!    ([`decode_request_line`]) must reach the verdict of the `Value`
+//!    route the server used before it (accept, control command, or
+//!    reject), decode field-identical requests when it accepts, and answer
+//!    a byte-identical `{"error": ...}` reply line when it rejects. On
+//!    canonical request lines (what
+//!    [`TcpClient`](concorde_suite::serve::TcpClient) itself emits) it must
+//!    accept, so the property is not vacuous.
+//! 2. **Hostile input** — arbitrary strings, byte-level mutations of
+//!    canonical lines and deep nesting never panic the decoder, and every
+//!    rejection carries one of the four wire error prefixes.
+//! 3. **Encoder equivalence** — [`PredictResponse::encode_json_into`] must
 //!    be byte-identical to `serde_json::to_string` across the response
 //!    space (float shapes, escapes, every optional-field combination).
 
-use concorde_suite::serve::protocol::{decode_request_line, DecodedShape, FastMiss};
+use concorde_suite::serve::protocol::{decode_request_line, DecodedShape, Rejection};
 use concorde_suite::serve::{PredictRequest, PredictResponse};
 use proptest::prelude::*;
 
@@ -37,14 +42,15 @@ impl Rng {
     }
 }
 
-/// A workload value exercising inline and heap `KeyStr`s, escapes, unknown
-/// ids, and non-ASCII.
+/// A workload value exercising inline and heap `KeyStr`s, ids longer than
+/// 64 bytes, escapes, unknown ids, and non-ASCII.
 fn workload(rng: &mut Rng) -> &'static str {
     const CHOICES: &[&str] = &[
         "S5",
         "P1",
         "ZZZ-unknown",
         "a-workload-id-well-beyond-the-inline-cap-of-keystr",
+        "riscv:riscv-testdata/a/path/long/enough/to/pass/sixty-four/bytes/prog.elf@400000",
         "quote\\\"inside",
         "esc\\n\\t\\\\done",
         "uni\\u00e9\\u0041",
@@ -54,9 +60,52 @@ fn workload(rng: &mut Rng) -> &'static str {
     CHOICES[rng.below(CHOICES.len() as u64) as usize]
 }
 
+/// A nested unknown-field value up to `depth` containers deep (well
+/// inside the decoder's nesting cap).
+fn nested_value(rng: &mut Rng, depth: u64) -> String {
+    if depth == 0 || rng.chance(20) {
+        return ["1", "null", "\"s\"", "[]", "{}", "-2.5e3"][rng.below(6) as usize].to_string();
+    }
+    let inner = nested_value(rng, depth - 1);
+    match rng.below(3) {
+        0 => format!("[{inner}]"),
+        1 => format!("[0,{inner},true]"),
+        _ => format!("{{\"k\":{inner}}}"),
+    }
+}
+
+/// A value of the wrong type, or out of range, for one request field.
+fn bad_field(rng: &mut Rng) -> &'static str {
+    const CHOICES: &[&str] = &[
+        "\"id\":\"seven\"",
+        "\"id\":-3",
+        "\"id\":null",
+        "\"workload\":7",
+        "\"workload\":null",
+        "\"trace\":\"x\"",
+        "\"trace\":1.5",
+        "\"len\":5000000000",
+        "\"start\":[1]",
+        "\"arch\":null",
+        "\"arch\":7",
+        "\"arch\":{\"rob\":\"big\"}",
+        "\"arch\":{\"base\":5,\"l2\":-1}",
+        "\"arch\":{\"prefetch\":99999999999}",
+        "\"deadline_ms\":true",
+        "\"class\":\"vip\"",
+        "\"class\":\"v\\u00efp\"",
+        "\"class\":3",
+        "\"class\":null",
+        "\"schema_version\":{}",
+    ];
+    CHOICES[rng.below(CHOICES.len() as u64) as usize]
+}
+
 /// Emits one request object. `canonical` restricts to the clean shapes the
-/// fast decoder must accept; otherwise the emitter may add unknown keys,
-/// duplicate keys, float-typed ints, and whitespace.
+/// decoder must accept; otherwise the emitter may add unknown and nested
+/// keys, duplicate keys (a bad value overwritten by a good one, or the
+/// reverse), wrongly typed fields, a missing `workload`, float-typed ints,
+/// and whitespace.
 fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
     let ws: &[&str] = if canonical {
         &[""]
@@ -64,9 +113,15 @@ fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
         &["", " ", "\t", "  "]
     };
     let mut fields: Vec<String> = Vec::new();
+    if !canonical && rng.chance(20) {
+        // Overwritten below by the field's good value: last one wins.
+        fields.push(bad_field(rng).to_string());
+    }
     fields.push(format!("\"id\":{}", rng.below(1 << 40)));
     let w = workload(rng);
-    fields.push(format!("\"workload\":\"{w}\""));
+    if canonical || !rng.chance(5) {
+        fields.push(format!("\"workload\":\"{w}\""));
+    }
     if rng.chance(40) {
         fields.push(format!("\"trace\":{}", rng.below(8)));
     }
@@ -98,7 +153,7 @@ fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
     }
     if rng.chance(25) {
         // The retired `notify` key: canonical lines that still carry it must
-        // decode on the fast path, skipped like any other unknown key.
+        // decode, the key skipped like any other unknown key.
         let b = if rng.chance(50) { "true" } else { "false" };
         fields.push(format!("\"notify\":{b}"));
     }
@@ -108,6 +163,26 @@ fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
     if !canonical {
         if rng.chance(25) {
             fields.push("\"unknown_key\":[1,{\"x\":null}]".to_string());
+        }
+        if rng.chance(15) {
+            let depth = rng.below(40);
+            fields.push(format!("\"nested\":{}", nested_value(rng, depth)));
+        }
+        // Up to two bad fields: the first in declaration order names the
+        // error, whatever their order on the line.
+        for _ in 0..2 {
+            if rng.chance(15) {
+                fields.push(bad_field(rng).to_string());
+            }
+        }
+        if rng.chance(10) {
+            // A bad value, then the same key's good value.
+            fields.push("\"trace\":\"bad\"".to_string());
+            fields.push(format!("\"trace\":{}", rng.below(8)));
+        }
+        if rng.chance(8) {
+            fields.push("\"arch\":\"big\"".to_string());
+            fields.push("\"arch\":{\"rob\":\"x\",\"rob\":64}".to_string());
         }
         if rng.chance(20) {
             // Duplicate key: last-wins in both decoders.
@@ -132,12 +207,12 @@ fn emit_request(rng: &mut Rng, canonical: bool, out: &mut String) {
     out.push('}');
 }
 
-/// Emits one full line plus whether it is a canonical request line (on
-/// which the fast path must engage).
+/// Emits one full line plus whether it is a canonical request line (which
+/// the decoder must accept).
 fn emit_line(rng: &mut Rng) -> (String, bool) {
     let mut line = String::new();
     match rng.below(10) {
-        // Canonical single / batch: the fast path must take these.
+        // Canonical single / batch: the decoder must accept these.
         0..=2 => {
             emit_request(rng, true, &mut line);
             (line, true)
@@ -169,25 +244,42 @@ fn emit_line(rng: &mut Rng) -> (String, bool) {
             line.push(']');
             (line, false)
         }
-        // Control objects, including cmd alongside request fields.
+        // Control objects, including cmd alongside request fields (bad
+        // ones too), and a cmd key inside a batch element (a request).
         8 => {
-            let cmd = match rng.below(4) {
+            let cmd = match rng.below(7) {
                 0 => r#"{"cmd":"ping"}"#.to_string(),
                 1 => r#"{"cmd":"metrics","format":"prometheus"}"#.to_string(),
                 2 => r#"{"workload":"S5","cmd":"stats","id":4}"#.to_string(),
+                3 => r#"{"id":"x","cmd":"ping","class":"vip"}"#.to_string(),
+                4 => format!(r#"{{"cmd":"ping","x":{}}}"#, nested_value(rng, 30)),
+                5 => r#"[{"cmd":"ping","workload":"S5"},1]"#.to_string(),
                 _ => r#"{"cmd":17}"#.to_string(),
             };
             (cmd, false)
         }
-        // Malformed: truncations, garbage, non-container lines.
+        // Malformed: truncations, byte mutations, garbage, non-container
+        // lines, non-object batch elements.
         _ => {
-            match rng.below(3) {
+            match rng.below(5) {
                 0 => {
                     emit_request(rng, true, &mut line);
                     let cut = 1 + rng.below(line.len().max(2) as u64 - 1) as usize;
                     line.truncate(cut);
                 }
-                1 => line.push_str(["42", "\"str\"", "true", "null", "]"][rng.below(5) as usize]),
+                1 => line.push_str(
+                    [
+                        "42", "\"str\"", "true", "null", "]", "", "  ", "[1,{}]", "[null]",
+                    ][rng.below(9) as usize],
+                ),
+                2 => {
+                    emit_request(rng, true, &mut line);
+                    line = mutate(rng, &line);
+                }
+                3 => {
+                    emit_request(rng, false, &mut line);
+                    line = mutate(rng, &line);
+                }
                 _ => {
                     emit_request(rng, true, &mut line);
                     line.push_str("trailing");
@@ -198,31 +290,102 @@ fn emit_line(rng: &mut Rng) -> (String, bool) {
     }
 }
 
-/// The slow path exactly as `server.rs::handle_line` routes it: `Value`
-/// parse, cmd check on top-level objects, then typed conversion.
+/// One byte-level mutation of an ASCII line: truncate, flip a bit (the
+/// result stays ASCII), or insert `[`, `{`, `"` or `\`.
+fn mutate(rng: &mut Rng, line: &str) -> String {
+    let mut b = line.as_bytes().to_vec();
+    let at = rng.below(b.len() as u64 + 1) as usize;
+    match rng.below(3) {
+        0 => b.truncate(at),
+        1 if at < b.len() => b[at] ^= 1 << rng.below(7),
+        _ => b.insert(at, b"[{\"\\"[rng.below(4) as usize]),
+    }
+    String::from_utf8(b).expect("mutations of an ASCII line stay ASCII")
+}
+
+/// The reference: the request routing the server used before the decoder
+/// answered every line — `Value` parse, cmd check on top-level objects,
+/// typed conversion — with the exact reply line of each rejection.
+#[derive(Debug)]
 enum Slow {
     Single(PredictRequest),
     Batch(Vec<PredictRequest>),
     Cmd,
-    Reject,
+    Reject(String),
 }
 
 fn slow_path(line: &str) -> Slow {
+    let reject = |msg: String| Slow::Reject(serde_json::json!({ "error": msg }).to_string());
     let parsed: serde_json::Value = match serde_json::from_str(line) {
         Ok(v) => v,
-        Err(_) => return Slow::Reject,
+        Err(e) => return reject(format!("malformed JSON: {e}")),
     };
     match parsed {
         serde_json::Value::Array(_) => match serde_json::from_value(parsed) {
             Ok(reqs) => Slow::Batch(reqs),
-            Err(_) => Slow::Reject,
+            Err(e) => reject(format!("bad request batch: {e}")),
         },
         serde_json::Value::Object(ref obj) if obj.contains_key("cmd") => Slow::Cmd,
         obj @ serde_json::Value::Object(_) => match serde_json::from_value(obj) {
             Ok(req) => Slow::Single(req),
-            Err(_) => Slow::Reject,
+            Err(e) => reject(format!("bad request: {e}")),
         },
-        _ => Slow::Reject,
+        _ => reject("expected a JSON object or array".to_string()),
+    }
+}
+
+/// The reply line the server writes for a rejection.
+fn reply_line(rejection: &Rejection) -> String {
+    let mut out = String::new();
+    rejection.encode_json_into(&mut out);
+    out
+}
+
+/// Every rejection text opens with one of the four wire error prefixes.
+fn has_wire_prefix(rejection: &Rejection) -> bool {
+    let msg = rejection.message();
+    msg.starts_with("malformed JSON: serde error: JSON parse error at byte ")
+        || msg.starts_with("bad request: serde error: ")
+        || msg.starts_with("bad request batch: serde error: ")
+        || msg == "expected a JSON object or array"
+}
+
+/// Checks the decoder against the reference on one line.
+fn check_line(line: &str, canonical: bool) {
+    let mut reqs: Vec<PredictRequest> = Vec::new();
+    let decoded = decode_request_line(line, &mut reqs);
+    // A mutated surrogate escape can overflow the shim parser's arithmetic,
+    // which panics in debug builds; such a line has no reference verdict.
+    let Ok(slow) = std::panic::catch_unwind(|| slow_path(line)) else {
+        return;
+    };
+    match (decoded, slow) {
+        (Ok(DecodedShape::Single), Slow::Single(want)) => {
+            prop_assert_eq!(reqs.len(), 1);
+            prop_assert_eq!(req_value(&reqs[0]), req_value(&want), "line: {}", line);
+        }
+        (Ok(DecodedShape::Batch), Slow::Batch(want)) => {
+            prop_assert_eq!(reqs.len(), want.len(), "line: {}", line);
+            for (got, want) in reqs.iter().zip(&want) {
+                prop_assert_eq!(req_value(got), req_value(want), "line: {}", line);
+            }
+        }
+        (Ok(DecodedShape::Cmd), Slow::Cmd) => prop_assert!(reqs.is_empty()),
+        (Err(rejection), Slow::Reject(want)) => {
+            prop_assert!(!canonical, "decoder rejected a canonical line: {}", line);
+            prop_assert!(reqs.is_empty());
+            prop_assert!(has_wire_prefix(&rejection), "{:?}", rejection);
+            prop_assert_eq!(reply_line(&rejection), want, "line: {}", line);
+        }
+        (decoded, slow) => {
+            prop_assert!(
+                false,
+                "verdicts differ on {}: {:?} vs {:?}",
+                line,
+                decoded,
+                slow
+            )
+        }
     }
 }
 
@@ -231,46 +394,49 @@ fn req_value(r: &PredictRequest) -> serde_json::Value {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
 
     #[test]
     fn fast_decoder_matches_value_path(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (line, canonical) = emit_line(&mut rng);
-        let mut fast_reqs: Vec<PredictRequest> = Vec::new();
-        let fast = decode_request_line(&line, &mut fast_reqs);
-        let slow = slow_path(&line);
-        match fast {
-            Ok(DecodedShape::Single) => {
-                prop_assert_eq!(fast_reqs.len(), 1);
-                match slow {
-                    Slow::Single(slow_req) => {
-                        prop_assert_eq!(req_value(&fast_reqs[0]), req_value(&slow_req), "line: {}", line);
-                    }
-                    _ => prop_assert!(false, "fast accepted single the slow path rejects: {}", line),
+        check_line(&line, canonical);
+    }
+
+    #[test]
+    fn hostile_lines_never_panic_and_reject_with_a_wire_prefix(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let line = match rng.below(3) {
+            // Arbitrary text, heavy on JSON punctuation.
+            0 => {
+                const ALPHABET: &[char] = &[
+                    '{', '}', '[', ']', '"', '\\', ':', ',', ' ', '-', '.', 'e', '0', '7',
+                    'u', 'n', 't', 'f', 'd', 'a', 'x', '\u{e9}', '\u{1F600}', '\u{0}', '\n',
+                ];
+                (0..rng.below(64))
+                    .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                    .collect()
+            }
+            // Mutations of canonical lines, stacked.
+            1 => {
+                let mut line = String::new();
+                emit_request(&mut rng, true, &mut line);
+                for _ in 0..1 + rng.below(4) {
+                    line = mutate(&mut rng, &line);
                 }
+                line
             }
-            Ok(DecodedShape::Batch) => {
-                match slow {
-                    Slow::Batch(slow_reqs) => {
-                        prop_assert_eq!(fast_reqs.len(), slow_reqs.len(), "line: {}", line);
-                        for (f, s) in fast_reqs.iter().zip(&slow_reqs) {
-                            prop_assert_eq!(req_value(f), req_value(s), "line: {}", line);
-                        }
-                    }
-                    _ => prop_assert!(false, "fast accepted batch the slow path rejects: {}", line),
-                }
+            // Deep nesting, at the top level or in a field.
+            _ => {
+                let depth = 1 + rng.below(400) as usize;
+                let open = ["[", "{\"a\":"][rng.below(2) as usize].repeat(depth);
+                if rng.chance(50) { open } else { format!("{{\"workload\":\"S5\",\"x\":{open}") }
             }
-            Err(FastMiss::Cmd) => {
-                prop_assert!(matches!(slow, Slow::Cmd), "Cmd miss on a non-cmd line: {}", line);
-                prop_assert!(fast_reqs.is_empty());
-            }
-            Err(FastMiss::Fallback) => {
-                // Conservative decline is always allowed — but never on the
-                // canonical lines the protocol itself emits.
-                prop_assert!(!canonical, "fast path declined a canonical line: {}", line);
-                prop_assert!(fast_reqs.is_empty());
-            }
+        };
+        let mut reqs = Vec::new();
+        if let Err(rejection) = decode_request_line(&line, &mut reqs) {
+            prop_assert!(has_wire_prefix(&rejection), "{:?} on {}", rejection, line);
+            prop_assert!(reqs.is_empty());
         }
     }
 
@@ -314,10 +480,35 @@ proptest! {
 }
 
 #[test]
+fn hundred_thousand_deep_nesting_is_rejected_at_the_cap() {
+    let deep = "[".repeat(100_000);
+    for line in [
+        deep.clone(),
+        format!(r#"{{"workload":"S5","x":{deep}"#),
+        format!(r#"{{"cmd":"ping","x":{deep}"#),
+    ] {
+        let rejection = decode_request_line(&line, &mut Vec::new()).unwrap_err();
+        assert!(
+            rejection
+                .message()
+                .ends_with("nesting deeper than 128 levels"),
+            "{rejection:?}"
+        );
+        assert!(has_wire_prefix(&rejection));
+    }
+    // 128 levels is still fine.
+    let at_cap = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(decode_request_line(&at_cap, &mut Vec::new())
+        .unwrap_err()
+        .message()
+        .starts_with("bad request batch: "));
+}
+
+#[test]
 fn notify_key_changes_nothing_on_either_decoder() {
     // Clients written against the retired notify/upgrade push may still
     // send `"notify": true`; the line must decode exactly as without it, on
-    // both the fast decoder and the `Value` path — one request, one reply.
+    // both the decoder and the `Value` route — one request, one reply.
     let lines = [
         r#"{"id":3,"workload":"S5","arch":{"base":"n1"}}"#,
         r#"{"id":4,"workload":"C1","start":8192,"deadline_ms":0,"class":"batch"}"#,
@@ -342,13 +533,13 @@ fn notify_key_changes_nothing_on_either_decoder() {
             } else {
                 DecodedShape::Single
             };
-            assert_eq!(shape, Ok(want_shape), "fast path declined: {notified}");
+            assert_eq!(shape, Ok(want_shape), "decoder rejected: {notified}");
             let fast: Vec<_> = fast.iter().map(req_value).collect();
             assert_eq!(fast, expected, "fast decoder: {notified}");
             let slow: Vec<_> = match slow_path(&notified) {
                 Slow::Single(r) => vec![req_value(&r)],
                 Slow::Batch(rs) => rs.iter().map(req_value).collect(),
-                Slow::Cmd | Slow::Reject => panic!("value path refused: {notified}"),
+                Slow::Cmd | Slow::Reject(_) => panic!("value path refused: {notified}"),
             };
             assert_eq!(slow, expected, "value path: {notified}");
         }

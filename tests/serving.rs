@@ -2,6 +2,7 @@
 //! equal direct `ConcordePredictor::predict` results exactly, across mixed
 //! workloads, and the TCP protocol must round-trip.
 
+use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
 
 use concorde_suite::core::cache::{sweep_content_hash, FeatureKey};
@@ -360,10 +361,7 @@ fn hits_are_served_while_a_cold_miss_builds() {
         assert_eq!(resp.cpi.unwrap().to_bits(), warm_cpi.to_bits());
     }
     assert!(
-        matches!(
-            cold_rx.try_recv(),
-            Err(std::sync::mpsc::TryRecvError::Empty)
-        ),
+        cold_rx.try_recv().is_none(),
         "cold build finished before 10 warm hits — the hit path likely waited on the miss"
     );
 
@@ -441,11 +439,15 @@ fn parked_requests_keep_their_ids_and_archs() {
 
 #[test]
 fn hot_cold_keys_build_before_lonely_ones() {
-    // Miss-pool prioritization: with the single pool worker pinned on a slow
+    // Miss-pool prioritization: with the single pool worker pinned on a held
     // build (A), a cold key with 3 parked requests (C) must build before a
     // cold key with 1 parked request (B) submitted *earlier* — parked-count
     // order, not FIFO.
     let (model, profile) = tiny_service_parts();
+    let faults = std::sync::Arc::new(
+        concorde_suite::serve::FaultPlan::default()
+            .hold_build_at(vec![1], Duration::from_secs(120)),
+    );
     let service = PredictionService::start(
         model,
         profile,
@@ -453,6 +455,7 @@ fn hot_cold_keys_build_before_lonely_ones() {
             workers: 2,
             max_batch: 1,
             precompute_workers: 1,
+            fault_plan: Some(std::sync::Arc::clone(&faults)),
             ..ServeConfig::default()
         },
     );
@@ -464,6 +467,16 @@ fn hot_cold_keys_build_before_lonely_ones() {
         131_072
     };
     let a_rx = client.submit(a).unwrap();
+    // Two workers race to park A and B: A's build must be the one the pool
+    // holds.
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while {
+        let m = service.metrics();
+        m.miss_backlog > 0 || m.inflight_builds == 0
+    } {
+        assert!(std::time::Instant::now() < deadline, "A never built");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     // B first (1 waiter), then C (3 waiters on one key).
     let mut b = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
@@ -478,10 +491,17 @@ fn hot_cold_keys_build_before_lonely_ones() {
             client.submit(c).unwrap()
         })
         .collect();
-    // Guard: the ordering below is only meaningful if the pool was still
-    // busy with A while B and C queued. A's build takes orders of magnitude
-    // longer than these submissions, so this effectively never skips.
-    let contended = service.metrics().precomputes == 0;
+    // The ordering below is only meaningful if B's and C's builds both
+    // queue, with all five requests parked, while the pool is busy with A:
+    // hold A until they have.
+    while {
+        let m = service.metrics();
+        m.miss_backlog < 2 || m.parked < 5
+    } {
+        assert!(std::time::Instant::now() < deadline, "B and C never parked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    faults.release_held_builds();
 
     let b_resp = b_rx.recv().unwrap();
     let c_resps: Vec<PredictResponse> = c_rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
@@ -489,22 +509,20 @@ fn hot_cold_keys_build_before_lonely_ones() {
     for r in c_resps.iter().chain([&b_resp, &a_resp]) {
         assert!(r.cpi.is_some(), "id {}: {:?}", r.id, r.error);
     }
-    if contended {
-        // `micros` is enqueue→response latency; B was enqueued *before*
-        // every C, so B finishing after C implies strictly larger latency.
-        let c_max = c_resps.iter().map(|r| r.micros).max().unwrap();
-        assert!(
-            b_resp.micros > c_max,
-            "the 3-waiter key must build before the earlier 1-waiter key \
-             (B {}µs vs C max {}µs)",
-            b_resp.micros,
-            c_max
-        );
-        let m = service.metrics();
-        assert_eq!(m.coalesced, 2, "C's extra requests must coalesce");
-        assert_eq!(m.precomputes, 3, "three keys → three builds");
-        assert_eq!(m.parked, 0);
-    }
+    // `micros` is enqueue→response latency; B was enqueued *before* every
+    // C, so B finishing after C implies strictly larger latency.
+    let c_max = c_resps.iter().map(|r| r.micros).max().unwrap();
+    assert!(
+        b_resp.micros > c_max,
+        "the 3-waiter key must build before the earlier 1-waiter key \
+         (B {}µs vs C max {}µs)",
+        b_resp.micros,
+        c_max
+    );
+    let m = service.metrics();
+    assert_eq!(m.coalesced, 2, "C's extra requests must coalesce");
+    assert_eq!(m.precomputes, 3, "three keys → three builds");
+    assert_eq!(m.parked, 0);
 }
 
 #[test]
@@ -724,9 +742,9 @@ fn tcp_protocol_roundtrip() {
     assert_eq!(wl.as_array().map(Vec::len), Some(suite().len()));
 }
 
-/// `TcpClient` sends each request line in one write on a `TCP_NODELAY`
+/// Client and server each send a line in one write on a `TCP_NODELAY`
 /// socket. Split writes (line, then `\n`) without it stall every exchange on
-/// Nagle plus the server's delayed ACK — about 40 ms each on Linux loopback.
+/// Nagle plus the peer's delayed ACK — about 40 ms each on Linux loopback.
 #[test]
 fn tcp_client_round_trips_do_not_stall_on_delayed_acks() {
     let (model, profile) = tiny_service_parts();
@@ -757,6 +775,64 @@ fn tcp_client_round_trips_do_not_stall_on_delayed_acks() {
         elapsed < Duration::from_millis(40) * N / 2,
         "{N} warm round trips took {elapsed:?}: the client is stalling on delayed ACKs"
     );
+
+    // Control replies go out the same way as predictions.
+    let t0 = std::time::Instant::now();
+    for _ in 0..N {
+        assert!(client.metrics().unwrap().completed > 0);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(40) * N / 2,
+        "{N} metrics round trips took {elapsed:?}: the server is stalling on delayed ACKs"
+    );
+}
+
+/// A line nested 100 000 deep, in a request field, at the top level, or in
+/// a control object, gets one error line from the decoder's nesting cap
+/// instead of overflowing the connection thread's stack (which aborts the
+/// whole server), and the connection goes on serving.
+#[test]
+fn deeply_nested_lines_get_one_error_and_the_connection_survives() {
+    let (model, profile) = tiny_service_parts();
+    let service = Box::leak(Box::new(PredictionService::start(
+        model,
+        profile,
+        quick_config(),
+    )));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let _ = service.serve_tcp(listener);
+    });
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut roundtrip = |line: &str| {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        reply
+    };
+    let warm = r#"{"id":5,"workload":"S5","arch":{"base":"n1"}}"#;
+    assert!(roundtrip(warm).contains(r#""error":null"#));
+
+    let deep = "[".repeat(100_000);
+    for line in [
+        format!(r#"{{"id":1,"workload":"S5","x":{deep}"#),
+        deep.clone(),
+        format!(r#"{{"cmd":"ping","x":{deep}"#),
+    ] {
+        let reply = roundtrip(&line);
+        assert!(
+            reply.starts_with(r#"{"error":"malformed JSON: "#)
+                && reply.contains("nesting deeper than 128 levels"),
+            "{reply}"
+        );
+        let resp: PredictResponse = serde_json::from_str(&roundtrip(warm)).unwrap();
+        assert_eq!(resp.id, 5);
+        assert!(resp.cached && resp.error.is_none(), "{resp:?}");
+    }
 }
 
 /// A warm 1-worker service with the given `max_batch`, its S5/n1 store

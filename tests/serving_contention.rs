@@ -123,7 +123,7 @@ fn sharded_queue_contention_is_bitwise_deterministic() {
                             .predict_batch_into(&mut reqs, &mut scratch, &mut out)
                             .expect("predict_batch_into");
                     } else {
-                        // …the other half the owned mpsc-compat API.
+                        // …the other half the owned-vector API.
                         out = client
                             .predict_many(std::mem::take(&mut reqs))
                             .expect("predict_many");

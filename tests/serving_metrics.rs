@@ -5,11 +5,11 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::mpsc::TryRecvError;
 use std::time::Duration;
 
 use concorde_suite::core::schema::SCHEMA_VERSION;
 use concorde_suite::prelude::*;
+use concorde_suite::serve::slots::SlotReceiver;
 use concorde_suite::serve::MetricsSnapshot;
 
 /// Small but real model + profile shared by the service tests.
@@ -527,7 +527,7 @@ fn edf_builds_tight_deadline_key_before_earlier_parked_batch_key() {
     let i_resp = i_rx.recv().unwrap();
     assert!(!i_resp.approx && !i_resp.cached && i_resp.error.is_none());
     assert!(
-        matches!(b_rx.try_recv(), Err(TryRecvError::Empty)),
+        b_rx.try_recv().is_none(),
         "batch key was built before the deadline-carrying interactive key"
     );
     let b_resp = b_rx.recv().unwrap();
@@ -537,7 +537,7 @@ fn edf_builds_tight_deadline_key_before_earlier_parked_batch_key() {
 
 /// Submits a long cold build and waits until the single pool worker has
 /// popped it, so every later miss queues behind it.
-fn pin_pool(service: &PredictionService) -> std::sync::mpsc::Receiver<PredictResponse> {
+fn pin_pool(service: &PredictionService) -> SlotReceiver {
     let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
     long.start = 4_096;
     long.len = long_len();
