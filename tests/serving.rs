@@ -442,11 +442,15 @@ fn hot_cold_keys_build_before_lonely_ones() {
     // Miss-pool prioritization: with the single pool worker pinned on a held
     // build (A), a cold key with 3 parked requests (C) must build before a
     // cold key with 1 parked request (B) submitted *earlier* — parked-count
-    // order, not FIFO.
+    // order, not FIFO. The third build (B's, in the right order) stalls for
+    // seconds, so the order shows in answer latency by a wide margin rather
+    // than by how fast the workers serve C's re-enqueued jobs.
     let (model, profile) = tiny_service_parts();
+    let stall = Duration::from_secs(2);
     let faults = std::sync::Arc::new(
         concorde_suite::serve::FaultPlan::default()
-            .hold_build_at(vec![1], Duration::from_secs(120)),
+            .hold_build_at(vec![1], Duration::from_secs(120))
+            .slow_build_at(vec![3], stall),
     );
     let service = PredictionService::start(
         model,
@@ -512,6 +516,12 @@ fn hot_cold_keys_build_before_lonely_ones() {
     // `micros` is enqueue→response latency; B was enqueued *before* every
     // C, so B finishing after C implies strictly larger latency.
     let c_max = c_resps.iter().map(|r| r.micros).max().unwrap();
+    assert!(
+        b_resp.micros >= stall.as_micros() as u64,
+        "B's must be the stalled third build (B {}µs, C max {}µs)",
+        b_resp.micros,
+        c_max
+    );
     assert!(
         b_resp.micros > c_max,
         "the 3-waiter key must build before the earlier 1-waiter key \

@@ -415,6 +415,246 @@ fn http_metrics_endpoint_serves_valid_exposition() {
     validate_exposition(&body);
 }
 
+/// Family → (type, label names without `le`) of an exposition document.
+fn family_shapes(text: &str) -> HashMap<String, (String, Vec<String>)> {
+    let types = validate_exposition(text);
+    let mut shapes: HashMap<String, (String, Vec<String>)> = types
+        .iter()
+        .map(|(f, t)| (f.clone(), (t.clone(), Vec::new())))
+        .collect();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let s = parse_sample(line);
+        let labels = &mut shapes.get_mut(family_of(&s.name, &types)).unwrap().1;
+        for (k, _) in s.labels {
+            if k != "le" && !labels.contains(&k) {
+                labels.push(k);
+            }
+        }
+    }
+    for (_, labels) in shapes.values_mut() {
+        labels.sort();
+    }
+    shapes
+}
+
+/// Sum of every sample of `name` (across its label sets).
+fn sample_sum(text: &str, name: &str) -> f64 {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(parse_sample)
+        .filter(|s| s.name == name)
+        .map(|s| s.value)
+        .sum()
+}
+
+/// Sorted key set of a JSON object.
+fn key_set(v: &serde_json::Value) -> Vec<String> {
+    let mut keys: Vec<String> = v
+        .as_object()
+        .unwrap_or_else(|| panic!("not an object: {v:?}"))
+        .keys()
+        .cloned()
+        .collect();
+    keys.sort();
+    keys
+}
+
+fn sorted(keys: &[&str]) -> Vec<String> {
+    let mut out: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+    out.sort();
+    out
+}
+
+/// The wire contract of the three stats views, pinned exactly: the key set
+/// of the `metrics` and `stats` replies and every Prometheus family with
+/// its type and label names. At quiescence the views must also agree
+/// wherever they report the same fact.
+#[test]
+fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
+    let (model, profile) = tiny_service_parts();
+    let service: &'static PredictionService = Box::leak(Box::new(PredictionService::start(
+        model,
+        profile,
+        small_config(),
+    )));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || service.serve_tcp(listener));
+    let scrape = service.serve_metrics("127.0.0.1:0").expect("bind /metrics");
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut roundtrip = |line: &str| -> serde_json::Value {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        serde_json::from_str(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"))
+    };
+    let prometheus = |roundtrip: &mut dyn FnMut(&str) -> serde_json::Value| {
+        roundtrip(r#"{"cmd":"metrics","format":"prometheus"}"#)
+            .get("text")
+            .and_then(serde_json::Value::as_str)
+            .expect("prometheus reply carries text")
+            .to_string()
+    };
+
+    // One cold request: the JSON counts batch groups (0 hits, 1 miss), the
+    // per-shard Prometheus series count store lookups (the worker's probe
+    // and `park_group`'s re-probe miss; the re-run after the build hits).
+    let cold = roundtrip(r#"{"id":1,"workload":"S5","arch":{"base":"n1"}}"#);
+    assert_eq!(cold.get("cached").and_then(|v| v.as_bool()), Some(false));
+    let m = roundtrip(r#"{"cmd":"metrics"}"#);
+    assert_eq!(m.get("cache_hits").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(m.get("cache_misses").and_then(|v| v.as_u64()), Some(1));
+    let text = prometheus(&mut roundtrip);
+    assert_eq!(sample_sum(&text, "concorde_cache_hits_total"), 1.0);
+    assert_eq!(sample_sum(&text, "concorde_cache_misses_total"), 2.0);
+
+    // Then a hit, a batch-class miss and an error.
+    let hit = roundtrip(r#"{"id":2,"workload":"S5","arch":{"base":"n1"}}"#);
+    assert_eq!(hit.get("cached").and_then(|v| v.as_bool()), Some(true));
+    let batch = roundtrip(r#"{"id":3,"workload":"O1","arch":{"base":"big"},"class":"batch"}"#);
+    assert!(batch.get("cpi").is_some(), "{batch:?}");
+    let failed = roundtrip(r#"{"id":4,"workload":"NOPE","arch":{"base":"n1"}}"#);
+    assert!(failed.get("error").is_some(), "{failed:?}");
+
+    wait_for(service, "quiescence", |m| {
+        m.completed == 4 && m.parked == 0 && m.inflight_builds == 0 && m.queue_depth == 0
+    });
+    let metrics = roundtrip(r#"{"cmd":"metrics"}"#);
+    let stats = roundtrip(r#"{"cmd":"stats"}"#);
+    let wire_text = prometheus(&mut roundtrip);
+    let (status, _, http_text) = http_get(
+        scrape.addr(),
+        "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n",
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+
+    let metric_keys = [
+        "submitted",
+        "completed",
+        "errored",
+        "rejected",
+        "batches",
+        "avg_batch",
+        "cache_hits",
+        "cache_misses",
+        "cache_hit_rate",
+        "coalesced",
+        "precomputes",
+        "schema_mismatches",
+        "worker_panics",
+        "worker_restarts",
+        "parked",
+        "miss_backlog",
+        "build_ewma_us",
+        "inflight_builds",
+        "cache_evictions",
+        "cache_bytes",
+        "cache_stores",
+        "busy_rejected",
+        "active_connections",
+        "queue_depth",
+        "max_queue_depth",
+        "avg_latency_us",
+        "max_latency_us",
+    ];
+    assert_eq!(key_set(&metrics), sorted(&metric_keys));
+    assert_eq!(
+        key_set(&stats),
+        sorted(&[
+            "metrics",
+            "cache",
+            "workers",
+            "precompute_workers",
+            "max_connections",
+            "store_encoding",
+            "kernel",
+        ])
+    );
+    assert_eq!(key_set(&stats["metrics"]), sorted(&metric_keys));
+    let cache = &stats["cache"];
+    assert_eq!(
+        key_set(cache),
+        sorted(&["budget_bytes", "shard_count", "totals", "per_shard"])
+    );
+    let counter_keys = ["hits", "misses", "evictions", "stores", "bytes"];
+    assert_eq!(key_set(&cache["totals"]), sorted(&counter_keys));
+    let per_shard = cache["per_shard"].as_array().expect("per_shard array");
+    assert_eq!(
+        per_shard.len() as u64,
+        cache["shard_count"].as_u64().unwrap()
+    );
+    let mut shard_keys = counter_keys.to_vec();
+    shard_keys.push("shard");
+    for shard in per_shard {
+        assert_eq!(key_set(shard), sorted(&shard_keys));
+    }
+
+    let families: HashMap<String, (String, Vec<String>)> = [
+        ("concorde_build_info", "gauge", &["encoding", "kernel", "schema_version"][..]),
+        ("concorde_requests_submitted_total", "counter", &[]),
+        ("concorde_requests_rejected_total", "counter", &[]),
+        ("concorde_responses_total", "counter", &["class"]),
+        ("concorde_errors_total", "counter", &[]),
+        ("concorde_schema_mismatch_total", "counter", &[]),
+        ("concorde_coalesced_total", "counter", &[]),
+        ("concorde_precomputes_total", "counter", &[]),
+        ("concorde_batches_total", "counter", &[]),
+        ("concorde_busy_rejected_total", "counter", &[]),
+        ("concorde_worker_panics_total", "counter", &[]),
+        ("concorde_worker_restarts_total", "counter", &[]),
+        ("concorde_draining", "gauge", &[]),
+        ("concorde_cache_hits_total", "counter", &["shard"]),
+        ("concorde_cache_misses_total", "counter", &["shard"]),
+        ("concorde_cache_evictions_total", "counter", &["shard"]),
+        ("concorde_cache_bytes", "gauge", &["shard"]),
+        ("concorde_cache_stores", "gauge", &["shard"]),
+        ("concorde_queue_depth", "gauge", &[]),
+        ("concorde_queue_depth_max", "gauge", &[]),
+        ("concorde_parked_requests", "gauge", &[]),
+        ("concorde_miss_backlog", "gauge", &[]),
+        ("concorde_inflight_builds", "gauge", &[]),
+        ("concorde_active_connections", "gauge", &[]),
+        ("concorde_build_ewma_seconds", "gauge", &[]),
+        ("concorde_request_latency_seconds", "histogram", &["class"]),
+        ("concorde_queue_wait_seconds", "histogram", &["class"]),
+        ("concorde_batch_size", "histogram", &[]),
+        ("concorde_store_build_seconds", "histogram", &[]),
+    ]
+    .into_iter()
+    .map(|(f, t, labels)| (f.to_string(), (t.to_string(), sorted(labels))))
+    .collect();
+    assert_eq!(family_shapes(&http_text), families);
+    assert_eq!(family_shapes(&wire_text), families);
+
+    // The views agree wherever they report the same fact.
+    let metric = |k: &str| metrics[k].as_f64().unwrap_or_else(|| panic!("{k}"));
+    for text in [&http_text, &wire_text] {
+        assert_eq!(
+            metric("completed"),
+            sample_sum(text, "concorde_responses_total")
+        );
+        assert_eq!(
+            metric("batches"),
+            sample_sum(text, "concorde_batch_size_count")
+        );
+        assert_eq!(
+            metric("precomputes"),
+            sample_sum(text, "concorde_store_build_seconds_count")
+        );
+        assert_eq!(metric("cache_bytes"), sample_sum(text, "concorde_cache_bytes"));
+        assert_eq!(sample_sum(text, "concorde_queue_depth"), 0.0);
+    }
+    assert_eq!(metric("completed"), 4.0);
+    assert_eq!(metric("queue_depth"), 0.0);
+    assert_eq!(stats["metrics"]["queue_depth"].as_u64(), Some(0));
+    for key in counter_keys {
+        let total: u64 = per_shard.iter().map(|s| s[key].as_u64().unwrap()).sum();
+        assert_eq!(cache["totals"][key].as_u64(), Some(total), "cache.totals.{key}");
+    }
+    drop(scrape);
+}
+
 #[test]
 fn stalled_scrape_client_honors_configured_read_timeout() {
     // A scraper that connects and never sends its request must be cut off
