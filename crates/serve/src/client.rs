@@ -60,23 +60,6 @@ impl Client {
         self.submit(req)?.recv()
     }
 
-    /// Metrics snapshot of the service this client feeds.
-    pub fn service_metrics(&self) -> crate::MetricsSnapshot {
-        crate::service::metrics_snapshot(&self.shared)
-    }
-
-    /// The service's full Prometheus text exposition — the same document
-    /// `GET /metrics` serves.
-    pub fn prometheus_metrics(&self) -> String {
-        crate::service::prometheus_text(&self.shared)
-    }
-
-    /// Full stats (metrics + cache budget and per-shard occupancy) of the
-    /// service this client feeds.
-    pub fn service_stats(&self) -> crate::ServiceStats {
-        crate::service::service_stats(&self.shared)
-    }
-
     /// Feature schema (version + named blocks) of the served model.
     pub fn schema(&self) -> concorde_core::schema::FeatureSchema {
         crate::service::schema_of(&self.shared)
@@ -297,22 +280,6 @@ impl TcpClient {
     pub fn metrics(&mut self) -> std::io::Result<crate::MetricsSnapshot> {
         let resp = self.roundtrip_line(r#"{"cmd": "metrics"}"#)?;
         serde_json::from_str(&resp).map_err(std::io::Error::other)
-    }
-
-    /// Fetches the server's Prometheus text exposition over the JSON
-    /// protocol (`{"cmd": "metrics", "format": "prometheus"}`) — the same
-    /// document `GET /metrics` serves, for clients already speaking TCP.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors, or a protocol-level error decoded into `io::Error`.
-    pub fn metrics_text(&mut self) -> std::io::Result<String> {
-        let resp = self.roundtrip_line(r#"{"cmd": "metrics", "format": "prometheus"}"#)?;
-        let v: serde_json::Value = serde_json::from_str(&resp).map_err(std::io::Error::other)?;
-        v.get("text")
-            .and_then(serde_json::Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| std::io::Error::other("reply carried no text field"))
     }
 
     /// Fetches the server's full stats: metrics plus cache budget and

@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::service::{prometheus_text, PredictionService, Shared};
+use crate::metrics::{prometheus_text, snapshot};
+use crate::service::{PredictionService, Shared};
 
 /// The exposition-format content type Prometheus expects.
 const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -176,7 +177,7 @@ fn handle_scrape(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             "try /metrics, /healthz, or /readyz\n".to_string(),
         )
     } else {
-        ("200 OK", prometheus_text(shared))
+        ("200 OK", prometheus_text(&snapshot(shared)))
     };
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

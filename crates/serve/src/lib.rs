@@ -50,9 +50,10 @@ pub use bytesize::{parse_byte_size, ByteSizeError};
 pub use client::{BatchScratch, Client, TcpClient};
 pub use fault::FaultPlan;
 pub use http::MetricsServer;
+pub use metrics::{CacheReport, MetricsSnapshot, ServiceStats};
 pub use protocol::{ArchSpec, PredictRequest, PredictResponse, RequestClass};
 pub use server::workload_catalog;
 pub use service::{
-    CacheReport, ClassSlo, MetricsSnapshot, PredictionService, ServeConfig, ServeError,
-    ServiceStats, SweepScope, MAX_REGION_LEN, MAX_WIRE_RISCV_BUDGET,
+    ClassSlo, PredictionService, ServeConfig, ServeError, SweepScope, MAX_REGION_LEN,
+    MAX_WIRE_RISCV_BUDGET,
 };

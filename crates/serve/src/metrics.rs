@@ -1,13 +1,37 @@
-//! Dependency-free Prometheus primitives: lock-free histograms with fixed
-//! log-spaced buckets and a text-exposition writer.
+//! The serving engine's one metrics registry, its one snapshot, and the
+//! dependency-free Prometheus primitives the snapshot renders through.
 //!
-//! Like every external-facing layer of this workspace the module is
-//! hand-rolled — no `prometheus` crate — but the output is strict [text
-//! exposition format 0.0.4]: each metric family is `# HELP`/`# TYPE`d
-//! exactly once, histograms render cumulative `_bucket{le="..."}` series
-//! ending in `le="+Inf"` plus `_sum`/`_count`, and label values are escaped.
-//! `tests/serving_metrics.rs` scrapes a live server and re-validates those
-//! invariants with a strict parser, so a formatting regression fails CI.
+//! **One record per fact.** [`Metrics`] holds the counters and histograms
+//! the engine bumps while it serves. A fact another record already implies
+//! is derived when the registry is read, never counted a second time:
+//! `completed` is the sum of the per-class latency counts, `batches` and
+//! `avg_batch` are the count and mean of the batch-size histogram,
+//! `precomputes` is the store-build count, and `queue_depth` is the
+//! engine's own queue length.
+//!
+//! **One snapshot.** [`snapshot`] reads the registry and the engine's live
+//! state once: one per-shard cache sample (the totals are summed from it),
+//! one `pre_queue` → `inflight` lock pair, and each histogram once.
+//! `{"cmd":"metrics"}`, `{"cmd":"stats"}`, `GET /metrics` and
+//! `{"cmd":"metrics","format":"prometheus"}` all render from that
+//! [`Snapshot`], so no two views can report different worlds.
+//!
+//! **Hit counts differ by design.** The JSON `cache_hits`/`cache_misses`
+//! count *batch groups*: a group that starts a build is one miss, and its
+//! re-run on the landed store is not a hit. The per-shard
+//! `concorde_cache_{hits,misses}_total` series count *store lookups*,
+//! including `park_group`'s re-probe and that post-build re-run. One cold
+//! request therefore reads 0 hits / 1 miss in JSON and 1 hit / 2 misses in
+//! Prometheus.
+//!
+//! **Prometheus primitives.** Like every external-facing layer of this
+//! workspace they are hand-rolled (no `prometheus` crate), but the output
+//! is strict [text exposition format 0.0.4]: each metric family is
+//! `# HELP`/`# TYPE`d exactly once, histograms render cumulative
+//! `_bucket{le="..."}` series ending in `le="+Inf"` plus `_sum`/`_count`,
+//! and label values are escaped. `tests/serving_metrics.rs` scrapes a live
+//! server, re-validates those invariants with a strict parser, and pins
+//! every family's type and label names.
 //!
 //! [text exposition format 0.0.4]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -18,7 +42,472 @@
 //! locks anywhere — scrapes read the same atomics without stopping writers.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
+
+use concorde_core::arena::ArenaEncoding;
+use concorde_core::cache::{CacheStats, ShardStats};
+use concorde_core::schema::SCHEMA_VERSION;
+use serde::{Deserialize, Serialize};
+
+use crate::protocol::{RequestClass, N_CLASSES};
+use crate::service::Shared;
+
+/// The engine's metrics registry: each fact the engine records, recorded
+/// once (see the module docs for what is derived instead).
+#[derive(Debug)]
+pub(crate) struct Metrics {
+    pub(crate) submitted: AtomicU64,
+    pub(crate) errored: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    /// Batch groups found in the cache (see [`MetricsSnapshot::cache_hits`]).
+    pub(crate) cache_hits: AtomicU64,
+    /// Batch groups that started a build.
+    pub(crate) cache_misses: AtomicU64,
+    pub(crate) coalesced: AtomicU64,
+    /// Requests rejected for pinning a `schema_version` the server does not
+    /// speak.
+    pub(crate) schema_mismatches: AtomicU64,
+    /// Panics caught anywhere in worker/pool job execution (each one
+    /// answered its jobs with typed `reason: "internal"` errors instead of
+    /// taking the thread down or stranding waiters).
+    pub(crate) worker_panics: AtomicU64,
+    /// Worker/pool loops restarted by the supervisor after a panic escaped
+    /// the per-job guards.
+    pub(crate) worker_restarts: AtomicU64,
+    pub(crate) busy_rejected: AtomicU64,
+    pub(crate) conn_active: AtomicUsize,
+    pub(crate) max_queue_depth: AtomicUsize,
+    /// End-to-end latency (enqueue → response, seconds), by request class;
+    /// its counts are the `completed` total.
+    latency: [Histogram; N_CLASSES],
+    /// Enqueue → batch-collection wait (seconds), by request class. First
+    /// pass only: a re-enqueued parked job is not re-observed (its park time
+    /// shows up in end-to-end latency, not queue wait).
+    pub(crate) queue_wait: [Histogram; N_CLASSES],
+    /// Requests per executed batch; its count is `batches`.
+    pub(crate) batch_size: Histogram,
+    /// Feature-store build latency (seconds); its count is `precomputes`.
+    store_build: Histogram,
+    /// Observed per-build latency EWMA (µs, α = 1/4); 0 until the first
+    /// build completes.
+    build_ewma_us: AtomicU64,
+}
+
+/// Latency/queue-wait bucket layout: 10µs → ~84s in ×2 steps, constant
+/// relative resolution across the hit-path-µs to cold-build-s span.
+fn latency_histogram() -> Histogram {
+    Histogram::log_buckets(1e-5, 2.0, 23)
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            submitted: AtomicU64::new(0),
+            errored: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            schema_mismatches: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            worker_restarts: AtomicU64::new(0),
+            busy_rejected: AtomicU64::new(0),
+            conn_active: AtomicUsize::new(0),
+            max_queue_depth: AtomicUsize::new(0),
+            latency: std::array::from_fn(|_| latency_histogram()),
+            queue_wait: std::array::from_fn(|_| latency_histogram()),
+            // 1, 2, 4, … 256 requests — brackets `max_batch` defaults.
+            batch_size: Histogram::log_buckets(1.0, 2.0, 9),
+            // 1ms → ~32s: cold feature-store builds are milliseconds-to-
+            // seconds scale.
+            store_build: Histogram::log_buckets(1e-3, 2.0, 16),
+            build_ewma_us: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Metrics {
+    /// Records one answered request's enqueue → response latency.
+    pub(crate) fn observe_latency(&self, class: RequestClass, us: u64) {
+        self.latency[class.index()].observe(us as f64 / 1e6);
+    }
+
+    /// Records one completed store build: its latency histogram and the
+    /// EWMA (α = 1/4; the first build seeds it, floored at 1µs so a measured
+    /// build never reads as "nothing observed yet").
+    pub(crate) fn record_build(&self, took: Duration) {
+        self.store_build.observe(took.as_secs_f64());
+        let us = (took.as_micros() as u64).max(1);
+        let prev = self.build_ewma_us.load(Ordering::Relaxed);
+        let next = if prev == 0 { us } else { (prev * 3 + us) / 4 };
+        self.build_ewma_us.store(next.max(1), Ordering::Relaxed);
+    }
+}
+
+/// Engine counters and gauges (the `{"cmd": "metrics"}` reply).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MetricsSnapshot {
+    /// Requests accepted into the queue.
+    pub submitted: u64,
+    /// Responses delivered (success or error).
+    pub completed: u64,
+    /// Error responses among `completed`.
+    pub errored: u64,
+    /// Submissions rejected for a full queue.
+    pub rejected: u64,
+    /// Batches executed.
+    pub batches: u64,
+    /// Mean requests per batch.
+    pub avg_batch: f64,
+    /// Batch groups whose feature store was cached. A group of jobs
+    /// re-run on the store their own miss built does not count; the
+    /// Prometheus `concorde_cache_hits_total` counts store lookups instead
+    /// (see the [module docs](self)).
+    pub cache_hits: u64,
+    /// Batch groups that triggered a new precompute.
+    pub cache_misses: u64,
+    /// `hits / (hits + misses)`.
+    pub cache_hit_rate: f64,
+    /// Requests that joined an already in-flight precompute for their key
+    /// instead of triggering their own (single-flight deduplication).
+    #[serde(default)]
+    pub coalesced: u64,
+    /// Feature-store builds executed.
+    #[serde(default)]
+    pub precomputes: u64,
+    /// Requests rejected with the typed `schema_mismatch` error for pinning
+    /// a `schema_version` the server does not speak.
+    #[serde(default)]
+    pub schema_mismatches: u64,
+    /// Panics caught during worker/pool job execution; each answered its
+    /// jobs with typed `reason: "internal"` errors instead of poisoning a
+    /// lock or stranding waiters.
+    #[serde(default)]
+    pub worker_panics: u64,
+    /// Worker/pool loops restarted by the panic supervisor.
+    #[serde(default)]
+    pub worker_restarts: u64,
+    /// Requests currently parked awaiting an in-flight precompute (gauge).
+    /// Read under the same locks as [`MetricsSnapshot::miss_backlog`], so one
+    /// snapshot's pair is mutually consistent.
+    #[serde(default)]
+    pub parked: usize,
+    /// Builds waiting in the precompute-pool queue, not yet picked up by a
+    /// pool worker (gauge; consistent with [`MetricsSnapshot::parked`]).
+    #[serde(default)]
+    pub miss_backlog: usize,
+    /// Observed per-build latency EWMA in microseconds (0 until the first
+    /// build completes).
+    #[serde(default)]
+    pub build_ewma_us: u64,
+    /// Precomputes currently in flight (gauge).
+    #[serde(default)]
+    pub inflight_builds: usize,
+    /// Stores evicted from the cache to stay within the byte budget.
+    #[serde(default)]
+    pub cache_evictions: u64,
+    /// Resident cache bytes.
+    #[serde(default)]
+    pub cache_bytes: usize,
+    /// Resident cached stores.
+    #[serde(default)]
+    pub cache_stores: usize,
+    /// TCP connections turned away with a `busy` error.
+    #[serde(default)]
+    pub busy_rejected: u64,
+    /// Currently open TCP connections (gauge).
+    #[serde(default)]
+    pub active_connections: usize,
+    /// Current queue depth.
+    pub queue_depth: usize,
+    /// High-water queue depth.
+    pub max_queue_depth: usize,
+    /// Mean enqueue→response latency (µs).
+    pub avg_latency_us: f64,
+    /// Worst enqueue→response latency (µs).
+    pub max_latency_us: u64,
+}
+
+/// The `{"cmd": "stats"}` reply: metrics plus the cache occupancy report
+/// operators size `--cache-bytes` and `--cache-shards` with.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ServiceStats {
+    /// Engine counters.
+    pub metrics: MetricsSnapshot,
+    /// Cache budget + per-shard occupancy.
+    pub cache: CacheReport,
+    /// Worker threads serving batches.
+    pub workers: usize,
+    /// Dedicated precompute-pool threads.
+    pub precompute_workers: usize,
+    /// Concurrent TCP connection cap.
+    pub max_connections: usize,
+    /// Arena encoding of stores built on the miss path (`--encoding`).
+    #[serde(default)]
+    pub store_encoding: Option<ArenaEncoding>,
+    /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
+    #[serde(default)]
+    pub kernel: Option<String>,
+}
+
+/// Cache shape + occupancy section of [`ServiceStats`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CacheReport {
+    /// Configured byte budget across all shards.
+    pub budget_bytes: usize,
+    /// Shard count.
+    pub shard_count: usize,
+    /// Aggregate counters: the sum of `per_shard`, from the same sample.
+    pub totals: CacheStats,
+    /// Per-shard occupancy and counters.
+    pub per_shard: Vec<ShardStats>,
+}
+
+/// Everything the engine reports, read once by [`snapshot`]: the JSON
+/// stats plus what only the Prometheus document shows.
+pub(crate) struct Snapshot {
+    /// The `{"cmd": "stats"}` reply; its `metrics` is the
+    /// `{"cmd": "metrics"}` reply.
+    pub(crate) stats: ServiceStats,
+    latency: [HistogramSnapshot; N_CLASSES],
+    queue_wait: [HistogramSnapshot; N_CLASSES],
+    batch_size: HistogramSnapshot,
+    store_build: HistogramSnapshot,
+    draining: bool,
+}
+
+/// Reads the registry and the engine's live state once (see the module
+/// docs).
+pub(crate) fn snapshot(shared: &Shared) -> Snapshot {
+    let m = &shared.metrics;
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let per_shard = shared.cache.shard_stats();
+    let mut totals = CacheStats::default();
+    for s in &per_shard {
+        totals.hits += s.hits;
+        totals.misses += s.misses;
+        totals.evictions += s.evictions;
+        totals.stores += s.stores;
+        totals.bytes += s.bytes;
+    }
+    // Pool-queue depth and parked-request count are read under the same
+    // two locks (pre_queue → inflight, the pool's own order), so one
+    // snapshot cannot report a parked request whose build the same
+    // snapshot says is neither queued nor in flight.
+    let (miss_backlog, parked) = {
+        let pq = shared.pre_queue.lock().unwrap_or_else(|e| e.into_inner());
+        let inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        (pq.len(), inflight.values().map(Vec::len).sum())
+    };
+    let latency = m.latency.each_ref().map(Histogram::snapshot);
+    let mut all_latency = latency[0].clone();
+    for h in &latency[1..] {
+        all_latency.merge(h);
+    }
+    let batch_size = m.batch_size.snapshot();
+    let store_build = m.store_build.snapshot();
+    let (hits, misses) = (load(&m.cache_hits), load(&m.cache_misses));
+    let metrics = MetricsSnapshot {
+        submitted: load(&m.submitted),
+        completed: all_latency.count,
+        errored: load(&m.errored),
+        rejected: load(&m.rejected),
+        batches: batch_size.count,
+        // The sum of integer-valued observations is exact, so this equals
+        // the requests-over-batches integer ratio bit for bit.
+        avg_batch: batch_size.mean(),
+        cache_hits: hits,
+        cache_misses: misses,
+        cache_hit_rate: if hits + misses == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        },
+        coalesced: load(&m.coalesced),
+        precomputes: store_build.count,
+        schema_mismatches: load(&m.schema_mismatches),
+        worker_panics: load(&m.worker_panics),
+        worker_restarts: load(&m.worker_restarts),
+        parked,
+        miss_backlog,
+        build_ewma_us: load(&m.build_ewma_us),
+        inflight_builds: shared.inflight_builds.load(Ordering::Relaxed),
+        cache_evictions: totals.evictions,
+        cache_bytes: totals.bytes,
+        cache_stores: totals.stores,
+        busy_rejected: load(&m.busy_rejected),
+        active_connections: m.conn_active.load(Ordering::Relaxed),
+        queue_depth: shared.queue_len.load(Ordering::Relaxed),
+        max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
+        // Observations are whole-µs durations recorded in seconds, so
+        // ×1e6 + round recovers them exactly (f64 is exact for integers up
+        // to 2^53).
+        avg_latency_us: all_latency.mean() * 1e6,
+        max_latency_us: (all_latency.max * 1e6).round() as u64,
+    };
+    let cfg = &shared.cfg;
+    Snapshot {
+        stats: ServiceStats {
+            metrics,
+            cache: CacheReport {
+                budget_bytes: shared.cache.byte_budget(),
+                shard_count: shared.cache.shard_count(),
+                totals,
+                per_shard,
+            },
+            workers: cfg.effective_workers(),
+            precompute_workers: cfg.effective_precompute_workers(),
+            max_connections: cfg.max_connections.max(1),
+            store_encoding: Some(cfg.store_encoding),
+            kernel: Some(concorde_ml::kernel_name().to_string()),
+        },
+        latency,
+        queue_wait: m.queue_wait.each_ref().map(Histogram::snapshot),
+        batch_size,
+        store_build,
+        draining: shared.draining.load(Ordering::SeqCst),
+    }
+}
+
+/// One series per request class, labelled `class`, valued by `value` of the
+/// class index.
+fn by_class<T>(value: impl Fn(usize) -> T) -> Vec<(Vec<(&'static str, String)>, T)> {
+    RequestClass::ALL
+        .iter()
+        .map(|c| (vec![("class", c.name().to_string())], value(c.index())))
+        .collect()
+}
+
+/// Renders a snapshot as one Prometheus text-exposition document: the
+/// `GET /metrics` body and the `{"cmd":"metrics","format":"prometheus"}`
+/// reply.
+pub(crate) fn prometheus_text(s: &Snapshot) -> String {
+    use Kind::{Counter, Gauge};
+    let m = &s.stats.metrics;
+    let mut w = PromWriter::new();
+    w.family(
+        "concorde_build_info",
+        Gauge,
+        "Constant 1; labels carry the served feature-schema version, arena encoding, and active MLP kernel.",
+        &[(
+            vec![
+                ("schema_version", SCHEMA_VERSION.to_string()),
+                (
+                    "encoding",
+                    s.stats
+                        .store_encoding
+                        .map(|e| format!("{e:?}").to_lowercase())
+                        .unwrap_or_default(),
+                ),
+                ("kernel", s.stats.kernel.clone().unwrap_or_default()),
+            ],
+            1.0,
+        )],
+    );
+    // One row per single-series family: (name, type, value, HELP).
+    #[rustfmt::skip]
+    let scalars = [
+        ("concorde_requests_submitted_total", Counter, m.submitted as f64,
+            "Requests accepted into the queue."),
+        ("concorde_requests_rejected_total", Counter, m.rejected as f64,
+            "Submissions rejected for a full queue."),
+        ("concorde_errors_total", Counter, m.errored as f64,
+            "Error responses among the completed ones."),
+        ("concorde_schema_mismatch_total", Counter, m.schema_mismatches as f64,
+            "Requests rejected for pinning a schema_version the server does not \
+             speak."),
+        ("concorde_coalesced_total", Counter, m.coalesced as f64,
+            "Requests that joined an already in-flight precompute for their key."),
+        ("concorde_precomputes_total", Counter, m.precomputes as f64,
+            "Feature-store builds executed."),
+        ("concorde_batches_total", Counter, m.batches as f64,
+            "Micro-batches executed."),
+        ("concorde_busy_rejected_total", Counter, m.busy_rejected as f64,
+            "TCP connections turned away with a busy error."),
+        ("concorde_worker_panics_total", Counter, m.worker_panics as f64,
+            "Panics caught by worker/pool unwind guards; affected jobs were answered \
+             with typed internal errors."),
+        ("concorde_worker_restarts_total", Counter, m.worker_restarts as f64,
+            "Worker/pool loop restarts by the panic supervisor."),
+        ("concorde_draining", Gauge, if s.draining { 1.0 } else { 0.0 },
+            "1 while the server is draining (stopped accepting, flushing in-flight \
+             work), else 0."),
+        ("concorde_queue_depth", Gauge, m.queue_depth as f64,
+            "Current request-queue depth."),
+        ("concorde_queue_depth_max", Gauge, m.max_queue_depth as f64,
+            "High-water request-queue depth."),
+        ("concorde_parked_requests", Gauge, m.parked as f64,
+            "Requests parked awaiting an in-flight precompute."),
+        ("concorde_miss_backlog", Gauge, m.miss_backlog as f64,
+            "Builds waiting in the precompute-pool queue."),
+        ("concorde_inflight_builds", Gauge, m.inflight_builds as f64,
+            "Precomputes currently queued or running."),
+        ("concorde_active_connections", Gauge, m.active_connections as f64,
+            "Currently open TCP connections."),
+        ("concorde_build_ewma_seconds", Gauge, m.build_ewma_us as f64 / 1e6,
+            "Observed per-build latency EWMA (alpha 1/4; 0 until the first build \
+             completes)."),
+    ];
+    for (name, kind, value, help) in scalars {
+        w.family(name, kind, help, &[(Vec::new(), value)]);
+    }
+    w.family(
+        "concorde_responses_total",
+        Counter,
+        "Responses delivered (success or error), by request class.",
+        &by_class(|c| s.latency[c].count as f64),
+    );
+    type Value = fn(&ShardStats) -> f64;
+    #[rustfmt::skip]
+    let per_shard: [(&str, Kind, Value, &str); 5] = [
+        ("concorde_cache_hits_total", Counter, |s| s.hits as f64,
+            "Feature-store cache lookups that found a store, by shard. Every lookup counts, \
+             a parked group's re-run after its build included; the JSON cache_hits counts \
+             batch groups instead."),
+        ("concorde_cache_misses_total", Counter, |s| s.misses as f64,
+            "Feature-store cache lookups that found no store, by shard. Every lookup counts, \
+             a missed group's re-probe before parking included; the JSON cache_misses counts \
+             batch groups instead."),
+        ("concorde_cache_evictions_total", Counter, |s| s.evictions as f64,
+            "Stores evicted to stay within the byte budget, by shard."),
+        ("concorde_cache_bytes", Gauge, |s| s.bytes as f64,
+            "Resident cache bytes, by shard."),
+        ("concorde_cache_stores", Gauge, |s| s.stores as f64,
+            "Resident cached stores, by shard."),
+    ];
+    for (name, kind, value, help) in per_shard {
+        let series: Vec<_> = s
+            .stats
+            .cache
+            .per_shard
+            .iter()
+            .map(|sh| (vec![("shard", sh.shard.to_string())], value(sh)))
+            .collect();
+        w.family(name, kind, help, &series);
+    }
+    w.histogram(
+        "concorde_request_latency_seconds",
+        "End-to-end latency, enqueue to response, by request class.",
+        &by_class(|c| &s.latency[c]),
+    );
+    w.histogram(
+        "concorde_queue_wait_seconds",
+        "Enqueue to batch-collection wait (first pass), by request class.",
+        &by_class(|c| &s.queue_wait[c]),
+    );
+    w.histogram(
+        "concorde_batch_size",
+        "Requests per executed micro-batch.",
+        &[(Vec::new(), &s.batch_size)],
+    );
+    w.histogram(
+        "concorde_store_build_seconds",
+        "Feature-store build latency.",
+        &[(Vec::new(), &s.store_build)],
+    );
+    w.finish()
+}
 
 /// A fixed-bucket histogram recording non-negative `f64` observations.
 ///
@@ -199,12 +688,21 @@ fn render_labels(labels: &[(&str, String)]) -> String {
     format!("{{{}}}", inner.join(","))
 }
 
+/// The type of a one-value-per-series family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotonic count.
+    Counter,
+    /// A level that can go up and down.
+    Gauge,
+}
+
 /// Builds one Prometheus text-exposition document.
 ///
-/// Families must be emitted in one shot (`counter`/`gauge`/`histogram` take
-/// every labelled series of the family at once), which makes the "each
-/// metric is `# TYPE`d exactly once" invariant structural rather than a
-/// caller discipline.
+/// Families must be emitted in one shot (`family`/`histogram` take every
+/// labelled series of the family at once), which makes the "each metric is
+/// `# TYPE`d exactly once" invariant structural rather than a caller
+/// discipline.
 #[derive(Debug, Default)]
 pub struct PromWriter {
     out: String,
@@ -221,17 +719,19 @@ impl PromWriter {
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
-    /// A counter family: every `(labels, value)` series at once.
-    pub fn counter(&mut self, name: &str, help: &str, series: &[(Vec<(&str, String)>, u64)]) {
-        self.header(name, help, "counter");
-        for (labels, v) in series {
-            let _ = writeln!(self.out, "{name}{} {v}", render_labels(labels));
-        }
-    }
-
-    /// A gauge family.
-    pub fn gauge(&mut self, name: &str, help: &str, series: &[(Vec<(&str, String)>, f64)]) {
-        self.header(name, help, "gauge");
+    /// A counter or gauge family: every `(labels, value)` series at once.
+    pub fn family(
+        &mut self,
+        name: &str,
+        kind: Kind,
+        help: &str,
+        series: &[(Vec<(&str, String)>, f64)],
+    ) {
+        let kind = match kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        };
+        self.header(name, help, kind);
         for (labels, v) in series {
             let _ = writeln!(self.out, "{name}{} {}", render_labels(labels), fmt_f64(*v));
         }
@@ -243,7 +743,7 @@ impl PromWriter {
         &mut self,
         name: &str,
         help: &str,
-        series: &[(Vec<(&str, String)>, HistogramSnapshot)],
+        series: &[(Vec<(&str, String)>, &HistogramSnapshot)],
     ) {
         self.header(name, help, "histogram");
         for (labels, snap) in series {
@@ -281,20 +781,9 @@ impl PromWriter {
 /// Formats an `f64` so it survives a strict-parser round trip: Rust's
 /// shortest-roundtrip `Display`, which Prometheus parses for both plain
 /// decimals and exponent notation (the writer's inputs are finite by
-/// construction).
+/// construction). Integer-valued counts print without a fraction (`3`).
 fn fmt_f64(v: f64) -> String {
     format!("{v}")
-}
-
-/// Connection-lifecycle log line for the TCP front end, routed through this
-/// module so operational logging and metrics exposition share one front
-/// door. Silent unless `CONCORDE_CONN_LOG=1` — the accept loop stays quiet
-/// in production, and the live-connection *count* is already exported as
-/// the `concorde_active_connections` gauge.
-pub fn log_connection(event: &str, peer: std::net::SocketAddr) {
-    if std::env::var_os("CONCORDE_CONN_LOG").is_some_and(|v| v == "1") {
-        eprintln!("concorde-serve: connection {event} peer={peer}");
-    }
 }
 
 #[cfg(test)]
@@ -376,7 +865,7 @@ mod tests {
         w.histogram(
             "x_seconds",
             "test",
-            &[(vec![("class", "interactive".to_string())], h.snapshot())],
+            &[(vec![("class", "interactive".to_string())], &h.snapshot())],
         );
         let text = w.finish();
         assert!(text.contains("# TYPE x_seconds histogram"));
@@ -390,10 +879,11 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let mut w = PromWriter::new();
-        w.counter(
+        w.family(
             "c_total",
+            Kind::Counter,
             "test",
-            &[(vec![("k", "a\"b\\c\nd".to_string())], 1)],
+            &[(vec![("k", "a\"b\\c\nd".to_string())], 1.0)],
         );
         let text = w.finish();
         assert!(text.contains(r#"c_total{k="a\"b\\c\nd"} 1"#));

@@ -54,6 +54,7 @@ use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 
+use crate::metrics::{prometheus_text, snapshot};
 use crate::protocol::{
     decode_request_line, encode_error_into, DecodedShape, PredictRequest, PredictResponse,
 };
@@ -293,8 +294,6 @@ struct ConnScratch {
 }
 
 fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
-    let peer = stream.peer_addr()?;
-    crate::metrics::log_connection("open", peer);
     let shared = Arc::clone(client.shared());
     let idle_after = shared.cfg.read_timeout;
     let max_line = shared.cfg.max_line_bytes.max(1);
@@ -358,7 +357,6 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
             break;
         }
     }
-    crate::metrics::log_connection("close", peer);
     Ok(())
 }
 
@@ -421,13 +419,16 @@ fn handle_cmd(client: &Client, line: &str) -> Value {
     match obj.get("cmd").and_then(Value::as_str) {
         Some("ping") => json!({ "ok": true }),
         Some("metrics") => {
+            let snap = snapshot(client.shared());
             if obj.get("format").and_then(Value::as_str) == Some("prometheus") {
-                json!({ "text": client.prometheus_metrics() })
+                json!({ "text": prometheus_text(&snap) })
             } else {
-                serde_json::to_value(&client.service_metrics()).expect("serialize metrics")
+                serde_json::to_value(&snap.stats.metrics).expect("serialize metrics")
             }
         }
-        Some("stats") => serde_json::to_value(&client.service_stats()).expect("serialize stats"),
+        Some("stats") => {
+            serde_json::to_value(&snapshot(client.shared()).stats).expect("serialize stats")
+        }
         Some("drain") => {
             // Same flag `begin_drain` / the CLI's SIGTERM watcher set: the
             // accept loop stops admitting, handlers close after their

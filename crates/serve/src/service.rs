@@ -26,6 +26,11 @@
 //! `deadline_ms`, else its class SLO from [`ServeConfig::class_slo`]) only
 //! orders the precompute pool's builds earliest-deadline-first (see
 //! [`pick_task`]); it never changes what the request is answered with.
+//!
+//! What the engine does is recorded once, in the [`crate::metrics`]
+//! registry it owns; [`PredictionService::metrics`],
+//! [`PredictionService::stats`] and every wire view read it through one
+//! [`crate::metrics::snapshot`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -33,9 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use concorde_core::arena::ArenaEncoding;
-use concorde_core::cache::{
-    sweep_content_hash, CacheStats, FeatureKey, ShardStats, ShardedStoreCache, StoreArtifact,
-};
+use concorde_core::cache::{sweep_content_hash, FeatureKey, ShardedStoreCache, StoreArtifact};
 use concorde_core::features::FeatureStore;
 use concorde_core::model::{ConcordePredictor, PredictScratch};
 use concorde_core::schema::{FeatureSchema, SCHEMA_VERSION};
@@ -44,7 +47,7 @@ use concorde_cyclesim::MicroArch;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
-use crate::metrics::{Histogram, HistogramSnapshot, PromWriter};
+use crate::metrics::{snapshot, Metrics, MetricsSnapshot, ServiceStats};
 use crate::protocol::{PredictRequest, PredictResponse, RequestClass, N_CLASSES};
 use crate::slots::{SlotPool, SlotReceiver, SlotSender};
 
@@ -272,271 +275,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Live engine counters (all monotonic except the `*_depth`/gauge fields),
-/// plus the per-class request-path histograms the `/metrics` exposition
-/// renders. The legacy `avg_latency_us`/`max_latency_us` stats are *derived*
-/// from the latency histogram (see [`Metrics::latency_merged`]) so the JSON
-/// stats and the Prometheus scrape can never disagree.
-#[derive(Debug)]
-pub struct Metrics {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    errored: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    batch_requests: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    coalesced: AtomicU64,
-    precomputes: AtomicU64,
-    /// Requests rejected for pinning a `schema_version` the server does not
-    /// speak.
-    schema_mismatches: AtomicU64,
-    /// Panics caught anywhere in worker/pool job execution (each one
-    /// answered its jobs with typed `reason: "internal"` errors instead of
-    /// taking the thread down or stranding waiters).
-    pub(crate) worker_panics: AtomicU64,
-    /// Worker/pool loops restarted by the supervisor after a panic escaped
-    /// the per-job guards.
-    pub(crate) worker_restarts: AtomicU64,
-    queue_depth: AtomicUsize,
-    max_queue_depth: AtomicUsize,
-    /// End-to-end latency (enqueue → response, seconds), by request class.
-    latency: [Histogram; N_CLASSES],
-    /// Enqueue → batch-collection wait (seconds), by request class. First
-    /// pass only: a re-enqueued parked job is not re-observed (its park time
-    /// shows up in end-to-end latency, not queue wait).
-    queue_wait: [Histogram; N_CLASSES],
-    /// Requests per executed batch.
-    batch_size: Histogram,
-    /// Feature-store build latency (seconds), pool and inline builds alike.
-    store_build: Histogram,
-    pub(crate) busy_rejected: AtomicU64,
-    pub(crate) conn_active: AtomicUsize,
-}
-
-/// Latency/queue-wait bucket layout: 10µs → ~84s in ×2 steps, constant
-/// relative resolution across the hit-path-µs to cold-build-s span.
-fn latency_histogram() -> Histogram {
-    Histogram::log_buckets(1e-5, 2.0, 23)
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            errored: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            precomputes: AtomicU64::new(0),
-            schema_mismatches: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            max_queue_depth: AtomicUsize::new(0),
-            latency: std::array::from_fn(|_| latency_histogram()),
-            queue_wait: std::array::from_fn(|_| latency_histogram()),
-            // 1, 2, 4, … 256 requests — brackets `max_batch` defaults.
-            batch_size: Histogram::log_buckets(1.0, 2.0, 9),
-            // 1ms → ~32s: cold feature-store builds are milliseconds-to-
-            // seconds scale.
-            store_build: Histogram::log_buckets(1e-3, 2.0, 16),
-            busy_rejected: AtomicU64::new(0),
-            conn_active: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl Metrics {
-    fn observe_latency(&self, class: RequestClass, us: u64) {
-        self.latency[class.index()].observe(us as f64 / 1e6);
-    }
-
-    /// All classes' latency histograms merged — the single source of the
-    /// legacy global `avg_latency_us`/`max_latency_us` stats.
-    fn latency_merged(&self) -> HistogramSnapshot {
-        let mut merged = self.latency[0].snapshot();
-        for h in &self.latency[1..] {
-            merged.merge(&h.snapshot());
-        }
-        merged
-    }
-
-    /// Consistent-enough point-in-time copy of the atomic counters; the
-    /// in-flight and cache fields are filled in by [`Shared::snapshot`].
-    fn counters(&self) -> MetricsSnapshot {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batch_requests = self.batch_requests.load(Ordering::Relaxed);
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let latency = self.latency_merged();
-        MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            errored: self.errored.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            batches,
-            avg_batch: if batches == 0 {
-                0.0
-            } else {
-                batch_requests as f64 / batches as f64
-            },
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            precomputes: self.precomputes.load(Ordering::Relaxed),
-            schema_mismatches: self.schema_mismatches.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            // Miss-path gauges (parked, backlog, EWMA) are filled in by
-            // [`Shared::snapshot_with`] under a consistent lock pair.
-            parked: 0,
-            miss_backlog: 0,
-            build_ewma_us: 0,
-            inflight_builds: 0,
-            cache_evictions: 0,
-            cache_bytes: 0,
-            cache_stores: 0,
-            busy_rejected: self.busy_rejected.load(Ordering::Relaxed),
-            active_connections: self.conn_active.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            // Derived from the histogram, not tracked beside it: the two
-            // reporting paths cannot drift. Observations are whole-µs
-            // durations recorded in seconds, so ×1e6 + round recovers them
-            // exactly (f64 is exact for integers up to 2^53).
-            avg_latency_us: latency.mean() * 1e6,
-            max_latency_us: (latency.max * 1e6).round() as u64,
-        }
-    }
-}
-
-/// Serializable [`Metrics`] snapshot (the `{"cmd": "metrics"}` reply).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Responses delivered (success or error).
-    pub completed: u64,
-    /// Error responses among `completed`.
-    pub errored: u64,
-    /// Submissions rejected for a full queue.
-    pub rejected: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Mean requests per batch.
-    pub avg_batch: f64,
-    /// Batch groups whose feature store was cached.
-    pub cache_hits: u64,
-    /// Batch groups that triggered a new precompute.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`.
-    pub cache_hit_rate: f64,
-    /// Requests that joined an already in-flight precompute for their key
-    /// instead of triggering their own (single-flight deduplication).
-    #[serde(default)]
-    pub coalesced: u64,
-    /// Feature-store builds executed (pool or inline).
-    #[serde(default)]
-    pub precomputes: u64,
-    /// Requests rejected with the typed `schema_mismatch` error for pinning
-    /// a `schema_version` the server does not speak.
-    #[serde(default)]
-    pub schema_mismatches: u64,
-    /// Panics caught during worker/pool job execution; each answered its
-    /// jobs with typed `reason: "internal"` errors instead of poisoning a
-    /// lock or stranding waiters.
-    #[serde(default)]
-    pub worker_panics: u64,
-    /// Worker/pool loops restarted by the panic supervisor.
-    #[serde(default)]
-    pub worker_restarts: u64,
-    /// Requests currently parked awaiting an in-flight precompute (gauge).
-    /// Read under the same locks as [`MetricsSnapshot::miss_backlog`], so one
-    /// snapshot's pair is mutually consistent.
-    #[serde(default)]
-    pub parked: usize,
-    /// Builds waiting in the precompute-pool queue, not yet picked up by a
-    /// pool worker (gauge; consistent with [`MetricsSnapshot::parked`]).
-    #[serde(default)]
-    pub miss_backlog: usize,
-    /// Observed per-build latency EWMA in microseconds (0 until the first
-    /// build completes).
-    #[serde(default)]
-    pub build_ewma_us: u64,
-    /// Precomputes currently in flight (gauge).
-    #[serde(default)]
-    pub inflight_builds: usize,
-    /// Stores evicted from the cache to stay within the byte budget.
-    #[serde(default)]
-    pub cache_evictions: u64,
-    /// Resident cache bytes.
-    #[serde(default)]
-    pub cache_bytes: usize,
-    /// Resident cached stores.
-    #[serde(default)]
-    pub cache_stores: usize,
-    /// TCP connections turned away with a `busy` error.
-    #[serde(default)]
-    pub busy_rejected: u64,
-    /// Currently open TCP connections (gauge).
-    #[serde(default)]
-    pub active_connections: usize,
-    /// Current queue depth.
-    pub queue_depth: usize,
-    /// High-water queue depth.
-    pub max_queue_depth: usize,
-    /// Mean enqueue→response latency (µs).
-    pub avg_latency_us: f64,
-    /// Worst enqueue→response latency (µs).
-    pub max_latency_us: u64,
-}
-
-/// The `{"cmd": "stats"}` reply: metrics plus the cache occupancy report
-/// operators size `--cache-bytes` and `--cache-shards` with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServiceStats {
-    /// Engine counters.
-    pub metrics: MetricsSnapshot,
-    /// Cache budget + per-shard occupancy.
-    pub cache: CacheReport,
-    /// Worker threads serving batches.
-    pub workers: usize,
-    /// Dedicated precompute-pool threads.
-    pub precompute_workers: usize,
-    /// Concurrent TCP connection cap.
-    pub max_connections: usize,
-    /// Arena encoding of stores built on the miss path (`--encoding`).
-    #[serde(default)]
-    pub store_encoding: Option<ArenaEncoding>,
-    /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
-    #[serde(default)]
-    pub kernel: Option<String>,
-}
-
-/// Cache shape + occupancy section of [`ServiceStats`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheReport {
-    /// Configured byte budget across all shards.
-    pub budget_bytes: usize,
-    /// Shard count.
-    pub shard_count: usize,
-    /// Aggregate counters.
-    pub totals: CacheStats,
-    /// Per-shard occupancy and counters.
-    pub per_shard: Vec<ShardStats>,
-}
-
 pub(crate) struct Job {
     req: PredictRequest,
     enqueued: Instant,
@@ -563,7 +301,7 @@ fn effective_slo(req: &PredictRequest, class_slo: &ClassSlo) -> Option<Duration>
 }
 
 /// A queued cache-miss build for the precompute pool.
-struct PrecomputeTask {
+pub(crate) struct PrecomputeTask {
     key: FeatureKey,
     sweep: Arc<SweepConfig>,
     /// Arrival order, the FIFO tie-breaker when parked counts are equal.
@@ -658,7 +396,7 @@ pub(crate) struct Shared {
     /// Jobs across all shards, *including* slots reserved by an in-progress
     /// push — the capacity check, the depth gauge, and the shutdown drain
     /// test all read this instead of sweeping every shard lock.
-    queue_len: AtomicUsize,
+    pub(crate) queue_len: AtomicUsize,
     /// Round-robin shard cursor for submissions.
     rr: AtomicUsize,
     /// Recycled response slots (the warm path's channel replacement).
@@ -669,23 +407,20 @@ pub(crate) struct Shared {
     /// them per job.
     quant_sweep: Arc<SweepConfig>,
     quant_sweep_hash: u64,
-    cache: ShardedStoreCache,
+    pub(crate) cache: ShardedStoreCache,
     /// Single-flight registry: key → jobs parked on that key's in-flight
     /// build. Presence of an entry means exactly one build is queued or
     /// running for the key.
-    inflight: Mutex<HashMap<FeatureKey, Vec<Job>>>,
+    pub(crate) inflight: Mutex<HashMap<FeatureKey, Vec<Job>>>,
     /// Number of in-flight precomputes; workers may only exit at shutdown
     /// once this reaches zero (parked jobs still need re-enqueuing).
-    inflight_builds: AtomicUsize,
+    pub(crate) inflight_builds: AtomicUsize,
     /// Pending builds, popped by parked-request count (see [`pick_task`]),
     /// not FIFO — the small scan is cheap next to any single build.
-    pre_queue: Mutex<Vec<PrecomputeTask>>,
+    pub(crate) pre_queue: Mutex<Vec<PrecomputeTask>>,
     /// Arrival stamp for queued builds (the FIFO tie-breaker).
     pre_seq: AtomicU64,
     pre_notify: Condvar,
-    /// Observed per-build latency EWMA (µs, α = 1/4); 0 until the first
-    /// build completes.
-    build_ewma_us: AtomicU64,
     pub(crate) metrics: Metrics,
     /// Fault-injection plan (the chaos harness's hooks); the default empty
     /// plan costs one branch per hook.
@@ -703,35 +438,6 @@ pub(crate) struct Shared {
     /// thread budget so concurrent misses share the cores instead of each
     /// spawning `available_parallelism` threads.
     active_precomputes: AtomicUsize,
-}
-
-impl Shared {
-    /// Metrics merged with live cache + in-flight state.
-    fn snapshot(&self) -> MetricsSnapshot {
-        self.snapshot_with(&self.cache.stats())
-    }
-
-    /// Like [`Shared::snapshot`] but reusing an already-taken cache-stats
-    /// sample, so one `{"cmd": "stats"}` reply is internally consistent.
-    fn snapshot_with(&self, cache: &CacheStats) -> MetricsSnapshot {
-        let mut snap = self.metrics.counters();
-        // Pool-queue depth and parked-request count are read under the same
-        // two locks (pre_queue → inflight, the pool's own order), so one
-        // stats reply cannot report a parked request whose build the same
-        // reply says is neither queued nor in flight.
-        {
-            let pq = self.pre_queue.lock().unwrap_or_else(|e| e.into_inner());
-            let inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            snap.miss_backlog = pq.len();
-            snap.parked = inflight.values().map(Vec::len).sum();
-        }
-        snap.build_ewma_us = self.build_ewma_us.load(Ordering::Relaxed);
-        snap.inflight_builds = self.inflight_builds.load(Ordering::Relaxed);
-        snap.cache_evictions = cache.evictions;
-        snap.cache_bytes = cache.bytes;
-        snap.cache_stores = cache.stores;
-        snap
-    }
 }
 
 /// The serving engine; dropping it drains the workers.
@@ -785,7 +491,6 @@ impl PredictionService {
             pre_queue: Mutex::new(Vec::new()),
             pre_seq: AtomicU64::new(0),
             pre_notify: Condvar::new(),
-            build_ewma_us: AtomicU64::new(0),
             metrics: Metrics::default(),
             faults,
             draining: AtomicBool::new(false),
@@ -818,19 +523,15 @@ impl PredictionService {
         }
     }
 
-    /// Live metrics.
+    /// Live metrics (the `{"cmd": "metrics"}` reply).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.snapshot()
+        snapshot(&self.shared).stats.metrics
     }
 
-    /// Full stats: metrics plus cache budget and per-shard occupancy.
+    /// Full stats (the `{"cmd": "stats"}` reply): metrics plus cache budget
+    /// and per-shard occupancy.
     pub fn stats(&self) -> ServiceStats {
-        service_stats(&self.shared)
-    }
-
-    /// Aggregate feature-store cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
+        snapshot(&self.shared).stats
     }
 
     /// The engine configuration this service runs with.
@@ -1048,12 +749,12 @@ fn reserve(shared: &Shared, n: usize) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Publishes the depth gauge and wakes workers after `n` jobs landed on
-/// shard `idx`. A batch bigger than one worker's `max_batch` also pokes the
-/// other shards so their (possibly sleeping) workers come steal the spill.
+/// Raises the queue-depth high-water mark and wakes workers after `n` jobs
+/// landed on shard `idx`. A batch bigger than one worker's `max_batch` also
+/// pokes the other shards so their (possibly sleeping) workers come steal
+/// the spill.
 fn notify_enqueued(shared: &Shared, idx: usize, n: usize) {
     let depth = shared.queue_len.load(Ordering::SeqCst);
-    shared.metrics.queue_depth.store(depth, Ordering::Relaxed);
     shared
         .metrics
         .max_queue_depth
@@ -1169,244 +870,12 @@ pub(crate) fn submit_waiting(
     Ok(())
 }
 
-pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    shared.snapshot()
-}
-
-pub(crate) fn service_stats(shared: &Shared) -> ServiceStats {
-    let totals = shared.cache.stats();
-    ServiceStats {
-        metrics: shared.snapshot_with(&totals),
-        cache: CacheReport {
-            budget_bytes: shared.cache.byte_budget(),
-            shard_count: shared.cache.shard_count(),
-            totals,
-            per_shard: shared.cache.shard_stats(),
-        },
-        workers: shared.cfg.effective_workers(),
-        precompute_workers: shared.cfg.effective_precompute_workers(),
-        max_connections: shared.cfg.max_connections.max(1),
-        store_encoding: Some(shared.cfg.store_encoding),
-        kernel: Some(concorde_ml::kernel_name().to_string()),
-    }
-}
-
 pub(crate) fn schema_of(shared: &Shared) -> FeatureSchema {
     shared
         .model
         .layout
         .schema()
         .with_arena_encoding(shared.cfg.store_encoding)
-}
-
-/// Renders the full engine state as one Prometheus text-exposition document
-/// — the `GET /metrics` body and the `{"cmd":"metrics","format":
-/// "prometheus"}` reply. Reads the same atomics/locks as the JSON snapshot,
-/// so the two report the same world.
-pub(crate) fn prometheus_text(shared: &Shared) -> String {
-    let m = &shared.metrics;
-    let snap = shared.snapshot();
-    let per_shard = shared.cache.shard_stats();
-    let class_label = |c: RequestClass| vec![("class", c.name().to_string())];
-    let shard_label = |s: usize| vec![("shard", s.to_string())];
-    let global = Vec::new;
-
-    let mut w = PromWriter::new();
-    w.gauge(
-        "concorde_build_info",
-        "Constant 1; labels carry the served feature-schema version, arena encoding, and active MLP kernel.",
-        &[(
-            vec![
-                ("schema_version", SCHEMA_VERSION.to_string()),
-                (
-                    "encoding",
-                    format!("{:?}", shared.cfg.store_encoding).to_lowercase(),
-                ),
-                ("kernel", concorde_ml::kernel_name().to_string()),
-            ],
-            1.0,
-        )],
-    );
-    w.counter(
-        "concorde_requests_submitted_total",
-        "Requests accepted into the queue.",
-        &[(global(), snap.submitted)],
-    );
-    w.counter(
-        "concorde_requests_rejected_total",
-        "Submissions rejected for a full queue.",
-        &[(global(), snap.rejected)],
-    );
-    let responses: Vec<_> = RequestClass::ALL
-        .iter()
-        .map(|c| (class_label(*c), m.latency[c.index()].snapshot().count))
-        .collect();
-    w.counter(
-        "concorde_responses_total",
-        "Responses delivered (success or error), by request class.",
-        &responses,
-    );
-    w.counter(
-        "concorde_errors_total",
-        "Error responses among the completed ones.",
-        &[(global(), snap.errored)],
-    );
-    w.counter(
-        "concorde_schema_mismatch_total",
-        "Requests rejected for pinning a schema_version the server does not speak.",
-        &[(global(), snap.schema_mismatches)],
-    );
-    w.counter(
-        "concorde_coalesced_total",
-        "Requests that joined an already in-flight precompute for their key.",
-        &[(global(), snap.coalesced)],
-    );
-    w.counter(
-        "concorde_precomputes_total",
-        "Feature-store builds executed (pool or inline).",
-        &[(global(), snap.precomputes)],
-    );
-    w.counter(
-        "concorde_batches_total",
-        "Micro-batches executed.",
-        &[(global(), snap.batches)],
-    );
-    w.counter(
-        "concorde_busy_rejected_total",
-        "TCP connections turned away with a busy error.",
-        &[(global(), snap.busy_rejected)],
-    );
-    w.counter(
-        "concorde_worker_panics_total",
-        "Panics caught by worker/pool unwind guards; affected jobs were answered with typed internal errors.",
-        &[(global(), snap.worker_panics)],
-    );
-    w.counter(
-        "concorde_worker_restarts_total",
-        "Worker/pool loop restarts by the panic supervisor.",
-        &[(global(), snap.worker_restarts)],
-    );
-    w.gauge(
-        "concorde_draining",
-        "1 while the server is draining (stopped accepting, flushing in-flight work), else 0.",
-        &[(
-            global(),
-            if shared.draining.load(Ordering::SeqCst) {
-                1.0
-            } else {
-                0.0
-            },
-        )],
-    );
-    let hits: Vec<_> = per_shard
-        .iter()
-        .map(|s| (shard_label(s.shard), s.hits))
-        .collect();
-    w.counter(
-        "concorde_cache_hits_total",
-        "Feature-store cache lookups that found a store, by shard.",
-        &hits,
-    );
-    let misses: Vec<_> = per_shard
-        .iter()
-        .map(|s| (shard_label(s.shard), s.misses))
-        .collect();
-    w.counter(
-        "concorde_cache_misses_total",
-        "Feature-store cache lookups that did not, by shard.",
-        &misses,
-    );
-    let evictions: Vec<_> = per_shard
-        .iter()
-        .map(|s| (shard_label(s.shard), s.evictions))
-        .collect();
-    w.counter(
-        "concorde_cache_evictions_total",
-        "Stores evicted to stay within the byte budget, by shard.",
-        &evictions,
-    );
-    let bytes: Vec<_> = per_shard
-        .iter()
-        .map(|s| (shard_label(s.shard), s.bytes as f64))
-        .collect();
-    w.gauge(
-        "concorde_cache_bytes",
-        "Resident cache bytes, by shard.",
-        &bytes,
-    );
-    let stores: Vec<_> = per_shard
-        .iter()
-        .map(|s| (shard_label(s.shard), s.stores as f64))
-        .collect();
-    w.gauge(
-        "concorde_cache_stores",
-        "Resident cached stores, by shard.",
-        &stores,
-    );
-    w.gauge(
-        "concorde_queue_depth",
-        "Current request-queue depth.",
-        &[(global(), snap.queue_depth as f64)],
-    );
-    w.gauge(
-        "concorde_queue_depth_max",
-        "High-water request-queue depth.",
-        &[(global(), snap.max_queue_depth as f64)],
-    );
-    w.gauge(
-        "concorde_parked_requests",
-        "Requests parked awaiting an in-flight precompute.",
-        &[(global(), snap.parked as f64)],
-    );
-    w.gauge(
-        "concorde_miss_backlog",
-        "Builds waiting in the precompute-pool queue.",
-        &[(global(), snap.miss_backlog as f64)],
-    );
-    w.gauge(
-        "concorde_inflight_builds",
-        "Precomputes currently queued or running.",
-        &[(global(), snap.inflight_builds as f64)],
-    );
-    w.gauge(
-        "concorde_active_connections",
-        "Currently open TCP connections.",
-        &[(global(), snap.active_connections as f64)],
-    );
-    w.gauge(
-        "concorde_build_ewma_seconds",
-        "Observed per-build latency EWMA (alpha 1/4; 0 until the first build completes).",
-        &[(global(), snap.build_ewma_us as f64 / 1e6)],
-    );
-    let latency: Vec<_> = RequestClass::ALL
-        .iter()
-        .map(|c| (class_label(*c), m.latency[c.index()].snapshot()))
-        .collect();
-    w.histogram(
-        "concorde_request_latency_seconds",
-        "End-to-end latency, enqueue to response, by request class.",
-        &latency,
-    );
-    let queue_wait: Vec<_> = RequestClass::ALL
-        .iter()
-        .map(|c| (class_label(*c), m.queue_wait[c.index()].snapshot()))
-        .collect();
-    w.histogram(
-        "concorde_queue_wait_seconds",
-        "Enqueue to batch-collection wait (first pass), by request class.",
-        &queue_wait,
-    );
-    w.histogram(
-        "concorde_batch_size",
-        "Requests per executed micro-batch.",
-        &[(global(), m.batch_size.snapshot())],
-    );
-    w.histogram(
-        "concorde_store_build_seconds",
-        "Feature-store build latency (pool and inline builds).",
-        &[(global(), m.store_build.snapshot())],
-    );
-    w.finish()
 }
 
 /// True once every shutdown-drain obligation is met. Read order matters:
@@ -1422,7 +891,7 @@ fn drained_for_shutdown(shared: &Shared) -> bool {
 }
 
 /// Pops up to `max - batch.len()` jobs off a locked shard queue, keeping the
-/// global length counter and depth gauge in step.
+/// global length counter in step.
 fn drain_locked(shared: &Shared, q: &mut VecDeque<Job>, batch: &mut Vec<Job>, max: usize) {
     let mut taken = 0usize;
     while batch.len() < max {
@@ -1435,8 +904,7 @@ fn drain_locked(shared: &Shared, q: &mut VecDeque<Job>, batch: &mut Vec<Job>, ma
         }
     }
     if taken > 0 {
-        let after = shared.queue_len.fetch_sub(taken, Ordering::SeqCst) - taken;
-        shared.metrics.queue_depth.store(after, Ordering::Relaxed);
+        shared.queue_len.fetch_sub(taken, Ordering::SeqCst);
     }
 }
 
@@ -1557,11 +1025,6 @@ fn worker_loop(shared: &Shared, wid: usize) {
             }
             continue;
         }
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .batch_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.metrics.batch_size.observe(batch.len() as f64);
         process_batch(shared, &mut batch, &mut scratch);
         scratch.batch = batch;
@@ -1646,7 +1109,6 @@ fn respond(shared: &Shared, job: &Job, resp: PredictResponse) {
     if resp.error.is_some() {
         shared.metrics.errored.fetch_add(1, Ordering::Relaxed);
     }
-    shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
     shared
         .metrics
         .observe_latency(job.req.class, job.enqueued.elapsed().as_micros() as u64);
@@ -2002,18 +1464,7 @@ fn precompute_loop(shared: &Shared) {
         }));
         match outcome {
             Ok(store) => {
-                // Fold the observed build latency into the EWMA (α = 1/4);
-                // the first observation seeds it directly (floored at 1µs so
-                // a measured build never reads as "nothing observed yet").
-                shared
-                    .metrics
-                    .store_build
-                    .observe(t0.elapsed().as_secs_f64());
-                let us = (t0.elapsed().as_micros() as u64).max(1);
-                let prev = shared.build_ewma_us.load(Ordering::Relaxed);
-                let next = if prev == 0 { us } else { (prev * 3 + us) / 4 };
-                shared.build_ewma_us.store(next.max(1), Ordering::Relaxed);
-                shared.metrics.precomputes.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.record_build(t0.elapsed());
                 // Land the store before removing the in-flight entry: a
                 // worker that finds no entry must be able to trust a cache
                 // re-probe (see `park_group`).
@@ -2072,8 +1523,8 @@ impl Drop for PrecomputeSlot<'_> {
 }
 
 fn precompute_store(shared: &Shared, key: &FeatureKey, sweep: &SweepConfig) -> FeatureStore {
-    // Chaos hook: may stall and/or panic here, inside the caller's unwind
-    // guard (pool loop or inline-build catch).
+    // Chaos hook: may stall and/or panic here, inside the pool loop's
+    // unwind guard.
     shared.faults.on_build();
     // Validated at admission; an evicted provider re-resolves
     // deterministically here. Failure (e.g. the backing ELF vanished since)
@@ -2337,7 +1788,7 @@ mod tests {
         let line = "{\"id\":7,\"workload\":\"S5\",\"arch\":{\"base\":\"n1\"}}\n";
         conn.write_all(line.as_bytes()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(60);
-        while shared.snapshot().parked < 2 {
+        while service.metrics().parked < 2 {
             assert!(Instant::now() < deadline, "requests never parked");
             std::thread::sleep(Duration::from_millis(5));
         }

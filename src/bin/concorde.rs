@@ -728,7 +728,7 @@ fn main() {
                     Err(e) => bail(&format!("cannot preload {path}: {e}")),
                 }
             }
-            let cache = service.cache_stats();
+            let cache = service.stats().cache.totals;
             if cache.evictions > 0 {
                 eprintln!(
                     "[serve] warning: preloaded artifacts exceed --cache-bytes {} \

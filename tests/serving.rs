@@ -618,10 +618,6 @@ fn stats_report_cache_occupancy_and_bytes() {
         stats.kernel.as_deref(),
         Some(concorde_suite::ml::kernel_name())
     );
-    // The in-process client serves the identical report.
-    let via_client = client.service_stats();
-    assert_eq!(via_client.cache.totals.stores, 1);
-    assert_eq!(via_client.cache.totals.bytes, stats.cache.totals.bytes);
 }
 
 #[test]

@@ -523,10 +523,8 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
     let metrics = roundtrip(r#"{"cmd":"metrics"}"#);
     let stats = roundtrip(r#"{"cmd":"stats"}"#);
     let wire_text = prometheus(&mut roundtrip);
-    let (status, _, http_text) = http_get(
-        scrape.addr(),
-        "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n",
-    );
+    let (status, _, http_text) =
+        http_get(scrape.addr(), "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     assert_eq!(status, "HTTP/1.1 200 OK");
 
     let metric_keys = [
@@ -591,7 +589,11 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
     }
 
     let families: HashMap<String, (String, Vec<String>)> = [
-        ("concorde_build_info", "gauge", &["encoding", "kernel", "schema_version"][..]),
+        (
+            "concorde_build_info",
+            "gauge",
+            &["encoding", "kernel", "schema_version"][..],
+        ),
         ("concorde_requests_submitted_total", "counter", &[]),
         ("concorde_requests_rejected_total", "counter", &[]),
         ("concorde_responses_total", "counter", &["class"]),
@@ -642,7 +644,10 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
             metric("precomputes"),
             sample_sum(text, "concorde_store_build_seconds_count")
         );
-        assert_eq!(metric("cache_bytes"), sample_sum(text, "concorde_cache_bytes"));
+        assert_eq!(
+            metric("cache_bytes"),
+            sample_sum(text, "concorde_cache_bytes")
+        );
         assert_eq!(sample_sum(text, "concorde_queue_depth"), 0.0);
     }
     assert_eq!(metric("completed"), 4.0);
@@ -650,7 +655,11 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
     assert_eq!(stats["metrics"]["queue_depth"].as_u64(), Some(0));
     for key in counter_keys {
         let total: u64 = per_shard.iter().map(|s| s[key].as_u64().unwrap()).sum();
-        assert_eq!(cache["totals"][key].as_u64(), Some(total), "cache.totals.{key}");
+        assert_eq!(
+            cache["totals"][key].as_u64(),
+            Some(total),
+            "cache.totals.{key}"
+        );
     }
     drop(scrape);
 }

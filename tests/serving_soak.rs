@@ -142,7 +142,7 @@ fn soak_churn_drains_clean_with_stable_answers() {
         let _ = service.serve_tcp(listener);
     });
 
-    let mid_stats = service.cache_stats();
+    let mid_stats = service.stats().cache.totals;
     let dropped = Arc::new(AtomicU64::new(0));
 
     // Seeded multi-client churn: 3 in-process clients, each its own RNG.
@@ -261,7 +261,7 @@ fn soak_churn_drains_clean_with_stable_answers() {
 
     // Cache counters: monotone vs the mid-churn snapshot, internally
     // consistent, and inside the configured budget.
-    let final_stats = service.cache_stats();
+    let final_stats = service.stats().cache.totals;
     assert_cache_stats_consistent(&mid_stats, &final_stats);
     assert!(
         final_stats.evictions > 0,
