@@ -1,12 +1,15 @@
 //! Criterion microbenchmarks of the analytical-stage components — the cost
-//! breakdown behind the paper's §5.2.3 preprocessing table (the ROB model
-//! invocations dominate; everything else is comparatively free).
+//! breakdown behind the paper's §5.2.3 preprocessing table. The ROB sweep
+//! is the largest single stage of a store build, but the D- and I-cache
+//! simulations are not free: each builds a whole `Hierarchy` (a 4 MB LLC
+//! included) for a quick-profile region of only 8192 instructions, so the
+//! `*_quick` arms price the fixed set-up cost that the 16k arms amortize.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use concorde_analytic::prelude::*;
 use concorde_branch::{BranchUnit, PredictorKind};
-use concorde_cache::{simulate_inorder, MemConfig};
+use concorde_cache::{simulate_inorder, Hierarchy, MemConfig};
 use concorde_core::ReproProfile;
 use concorde_trace::{by_id, generate_region};
 
@@ -43,6 +46,15 @@ fn bench_analytic(c: &mut Criterion) {
     let (warmup, region) = full.split_at(quick.warmup_len);
     let quick_info = analyze_static(region);
     let quick_data = analyze_data(warmup, region, MemConfig::default());
+    c.bench_function("hierarchy_new_n1", |b| {
+        b.iter(|| Hierarchy::new(MemConfig::default()));
+    });
+    c.bench_function("analyze_data_quick", |b| {
+        b.iter(|| analyze_data(warmup, region, MemConfig::default()));
+    });
+    c.bench_function("analyze_inst_quick", |b| {
+        b.iter(|| analyze_inst(warmup, region, MemConfig::default()));
+    });
     c.bench_function("rob_sweep_quick", |b| {
         b.iter(|| {
             ROB_SWEEP

@@ -4,6 +4,12 @@
 //! classifies each access with the [`CacheLevel`] it hits at and performs the
 //! fills and (functional) write-backs a real hierarchy would; the level is all
 //! downstream consumers need, since timing maps levels to fixed latencies.
+//!
+//! Every level is a flat [`Cache`] (one zeroed array of PLRU words and packed
+//! ways, see [`crate::set`]), so [`Hierarchy::new`] makes five heap
+//! allocations — four caches and the prefetcher table — whatever the sizes.
+//! Each trace analysis and each simulation builds a fresh hierarchy, so this
+//! fixed cost is paid once per region and memory configuration.
 
 use crate::config::{CacheConfig, CacheLevel, MemConfig, LLC_KB};
 use crate::prefetch::StridePrefetcher;

@@ -51,7 +51,7 @@ pub use client::{BatchScratch, Client, TcpClient};
 pub use fault::FaultPlan;
 pub use http::MetricsServer;
 pub use metrics::{CacheReport, MetricsSnapshot, ServiceStats};
-pub use protocol::{ArchSpec, PredictRequest, PredictResponse, RequestClass};
+pub use protocol::{ArchSpec, PredictRequest, PredictResponse, RequestClass, MAX_CACHE_KB};
 pub use server::workload_catalog;
 pub use service::{
     ClassSlo, PredictionService, ServeConfig, ServeError, SweepScope, MAX_REGION_LEN,

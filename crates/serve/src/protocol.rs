@@ -95,6 +95,11 @@ impl Deserialize for RequestClass {
     }
 }
 
+/// Largest cache size (KiB) a wire `arch` may ask for in `l1d`, `l1i` or
+/// `l2`: 16 MiB, four times Table 1's largest L2 and 64 times its largest
+/// L1. At this bound a hierarchy's way arrays total about 8 MiB.
+pub const MAX_CACHE_KB: u32 = 16 * 1024;
+
 /// Architecture selector: a named base design plus per-parameter overrides.
 ///
 /// Every field is optional; the empty spec resolves to the ARM N1
@@ -154,11 +159,23 @@ impl ArchSpec {
     /// # Errors
     ///
     /// Returns a message naming an unknown base design or an out-of-range
-    /// parameter. Sizes and widths must be in `1..=1_048_576` (the analytic
-    /// models assert non-zero resources; a zero from the wire must be a
-    /// request error, never a worker panic); `prefetch` may be `0..=64`.
+    /// parameter. Queue sizes and widths must be in `1..=1_048_576` (the
+    /// analytic models assert non-zero resources; a zero from the wire must
+    /// be a request error, never a worker panic); `prefetch` may be `0..=64`.
+    /// Cache sizes (`l1d`, `l1i`, `l2`, in KiB) must be powers of two in
+    /// `1..=`[`MAX_CACHE_KB`]: the cache model indexes sets by a bit mask,
+    /// and the bound keeps one hierarchy's way arrays a few MiB.
     pub fn resolve(&self) -> Result<MicroArch, String> {
         const MAX: u32 = 1 << 20;
+        for (name, v) in [("l1d", self.l1d), ("l1i", self.l1i), ("l2", self.l2)] {
+            if let Some(v) = v {
+                if !v.is_power_of_two() || v > MAX_CACHE_KB {
+                    return Err(format!(
+                        "parameter `{name}` = {v} KiB must be a power of two in 1..={MAX_CACHE_KB}"
+                    ));
+                }
+            }
+        }
         for (name, v) in [
             ("rob", self.rob),
             ("lq", self.lq),
@@ -170,9 +187,6 @@ impl ArchSpec {
             ("decode", self.decode),
             ("rename", self.rename),
             ("commit", self.commit),
-            ("l1d", self.l1d),
-            ("l1i", self.l1i),
-            ("l2", self.l2),
         ] {
             if let Some(v) = v {
                 if v == 0 || v > MAX {
@@ -1070,6 +1084,31 @@ mod tests {
     #[test]
     fn unknown_base_is_an_error() {
         assert!(ArchSpec::base("epyc").resolve().is_err());
+    }
+
+    #[test]
+    fn cache_sizes_must_be_bounded_powers_of_two() {
+        let with = |name: &str, v: u32| {
+            let mut spec = ArchSpec::base("n1");
+            match name {
+                "l1d" => spec.l1d = Some(v),
+                "l1i" => spec.l1i = Some(v),
+                _ => spec.l2 = Some(v),
+            }
+            spec.resolve()
+        };
+        for name in ["l1d", "l1i", "l2"] {
+            for v in [0, 3, 48, 768, 1000, 2 * MAX_CACHE_KB, u32::MAX] {
+                let err = with(name, v).unwrap_err();
+                assert!(
+                    err.contains(&format!("`{name}` = {v} KiB")) && err.contains("power of two"),
+                    "{err}"
+                );
+            }
+            for v in [1, 16, 256, 4096, MAX_CACHE_KB] {
+                assert!(with(name, v).is_ok(), "{name} = {v}");
+            }
+        }
     }
 
     #[test]

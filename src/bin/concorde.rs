@@ -128,23 +128,27 @@ fn region_of(id: &str, len: usize) -> (Vec<Instruction>, Vec<Instruction>) {
     (w.to_vec(), r.to_vec())
 }
 
-fn apply_param(arch: &mut MicroArch, param: &str, v: u32) -> bool {
-    match param {
-        "rob" => arch.rob_size = v,
-        "lq" => arch.lq_size = v,
-        "sq" => arch.sq_size = v,
-        "alu" => arch.alu_width = v,
-        "fp" => arch.fp_width = v,
-        "ls" => arch.ls_width = v,
-        "fetch" => arch.fetch_width = v,
-        "decode" => arch.decode_width = v,
-        "rename" => arch.rename_width = v,
-        "commit" => arch.commit_width = v,
-        "l1d" => arch.mem.l1d_kb = v,
-        "l1i" => arch.mem.l1i_kb = v,
-        "l2" => arch.mem.l2_kb = v,
+/// Sets the wire `arch` override `param` of `spec` (the `--set` and `sweep`
+/// names); `false` for an unknown name. `ArchSpec::resolve` checks the value.
+fn set_spec_param(spec: &mut ArchSpec, param: &str, v: u32) -> bool {
+    let field = match param {
+        "rob" => &mut spec.rob,
+        "lq" => &mut spec.lq,
+        "sq" => &mut spec.sq,
+        "alu" => &mut spec.alu,
+        "fp" => &mut spec.fp,
+        "ls" => &mut spec.ls,
+        "fetch" => &mut spec.fetch,
+        "decode" => &mut spec.decode,
+        "rename" => &mut spec.rename,
+        "commit" => &mut spec.commit,
+        "l1d" => &mut spec.l1d,
+        "l1i" => &mut spec.l1i,
+        "l2" => &mut spec.l2,
+        "prefetch" => &mut spec.prefetch,
         _ => return false,
-    }
+    };
+    *field = Some(v);
     true
 }
 
@@ -319,66 +323,7 @@ fn arch_spec_from_args(args: &[String]) -> ArchSpec {
             let v: u32 = v
                 .parse()
                 .unwrap_or_else(|_| bail(&format!("--set value `{v}` is not a number")));
-            let ok = match k {
-                "rob" => {
-                    spec.rob = Some(v);
-                    true
-                }
-                "lq" => {
-                    spec.lq = Some(v);
-                    true
-                }
-                "sq" => {
-                    spec.sq = Some(v);
-                    true
-                }
-                "alu" => {
-                    spec.alu = Some(v);
-                    true
-                }
-                "fp" => {
-                    spec.fp = Some(v);
-                    true
-                }
-                "ls" => {
-                    spec.ls = Some(v);
-                    true
-                }
-                "fetch" => {
-                    spec.fetch = Some(v);
-                    true
-                }
-                "decode" => {
-                    spec.decode = Some(v);
-                    true
-                }
-                "rename" => {
-                    spec.rename = Some(v);
-                    true
-                }
-                "commit" => {
-                    spec.commit = Some(v);
-                    true
-                }
-                "l1d" => {
-                    spec.l1d = Some(v);
-                    true
-                }
-                "l1i" => {
-                    spec.l1i = Some(v);
-                    true
-                }
-                "l2" => {
-                    spec.l2 = Some(v);
-                    true
-                }
-                "prefetch" => {
-                    spec.prefetch = Some(v);
-                    true
-                }
-                _ => false,
-            };
-            if !ok {
+            if !set_spec_param(&mut spec, k, v) {
                 bail(&format!("unknown --set parameter `{k}`"));
             }
             i += 2;
@@ -543,7 +488,7 @@ fn main() {
             let param = operand(
                 &args,
                 2,
-                "parameter (rob|lq|sq|alu|fp|ls|fetch|decode|rename|commit|l1d|l1i|l2)",
+                "parameter (rob|lq|sq|alu|fp|ls|fetch|decode|rename|commit|l1d|l1i|l2|prefetch)",
             );
             let values: Vec<u32> = operand(&args, 3, "value list (e.g. 32,64,128)")
                 .split(',')
@@ -556,10 +501,11 @@ fn main() {
             let (w, r) = region_of(id, len);
             println!("{id}: sweeping {param} (base: ARM N1)");
             for v in values {
-                let mut arch = parse_arch(&args);
-                if !apply_param(&mut arch, param, v) {
+                let mut spec = arch_spec_from_args(&args);
+                if !set_spec_param(&mut spec, param, v) {
                     bail(&format!("unknown parameter `{param}`"));
                 }
+                let arch = spec.resolve().unwrap_or_else(|e| bail(&e));
                 let res = simulate_warmed(&w, &r, &arch, SimOptions::default());
                 println!("  {param} = {v:>5}: CPI {:.3}", res.cpi());
             }

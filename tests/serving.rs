@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use concorde_suite::core::cache::{sweep_content_hash, FeatureKey};
 use concorde_suite::prelude::*;
+use concorde_suite::serve::MAX_CACHE_KB;
 
 /// Small but real model + profile shared by the tests (trained once).
 fn tiny_service_parts() -> (ConcordePredictor, ReproProfile) {
@@ -839,6 +840,83 @@ fn deeply_nested_lines_get_one_error_and_the_connection_survives() {
         assert_eq!(resp.id, 5);
         assert!(resp.cached && resp.error.is_none(), "{resp:?}");
     }
+}
+
+/// A cache size the set-indexed cache model cannot build (not a power of
+/// two) or one past `MAX_CACHE_KB` is a request error naming the
+/// parameter, in-process and over TCP, and never reaches a store build: a
+/// build that panicked would cost two worker panics per request (the build
+/// and its retry) and reply `internal error`.
+#[test]
+fn odd_cache_sizes_are_request_errors_not_worker_panics() {
+    let (model, profile) = tiny_service_parts();
+    let service: &'static PredictionService = Box::leak(Box::new(PredictionService::start(
+        model,
+        profile,
+        quick_config(),
+    )));
+    let client = service.client();
+    for (i, (name, v)) in [
+        ("l2", 768),
+        ("l1d", 48),
+        ("l1i", 3),
+        ("l2", 2 * MAX_CACHE_KB),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut arch = ArchSpec::base("n1");
+        match name {
+            "l2" => arch.l2 = Some(v),
+            "l1d" => arch.l1d = Some(v),
+            _ => arch.l1i = Some(v),
+        }
+        let resp = client
+            .predict(PredictRequest::new(i as u64, "S5", arch))
+            .unwrap();
+        let err = resp.error.as_deref().unwrap_or("");
+        assert!(
+            resp.cpi.is_none() && err.contains(&format!("`{name}` = {v} KiB")),
+            "{name}={v}: {resp:?}"
+        );
+    }
+    let ok = client
+        .predict(PredictRequest::new(9, "S5", ArchSpec::base("n1")))
+        .unwrap();
+    assert!(ok.cpi.is_some(), "{:?}", ok.error);
+    // The largest accepted sizes build.
+    let mut max = ArchSpec::base("n1");
+    (max.l1d, max.l1i, max.l2) = (Some(MAX_CACHE_KB), Some(MAX_CACHE_KB), Some(MAX_CACHE_KB));
+    let mut h = Hierarchy::new(max.resolve().unwrap().mem);
+    assert_eq!(h.access_data(0, false, None), CacheLevel::Ram);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let _ = service.serve_tcp(listener);
+    });
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut roundtrip = |line: &str| {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        serde_json::from_str::<PredictResponse>(&reply).unwrap()
+    };
+    let bad = roundtrip(r#"{"id":1,"workload":"S5","arch":{"l2":768}}"#);
+    assert_eq!(bad.id, 1);
+    assert!(
+        bad.cpi.is_none() && bad.error.as_deref().unwrap_or("").contains("`l2`"),
+        "{bad:?}"
+    );
+    let good = roundtrip(r#"{"id":2,"workload":"S5","arch":{"base":"n1"}}"#);
+    assert_eq!(good.id, 2);
+    assert!(good.cpi.is_some() && good.error.is_none(), "{good:?}");
+
+    let m = service.metrics();
+    assert_eq!(m.worker_panics, 0, "{m:?}");
+    assert_eq!(m.errored, 5);
 }
 
 /// A warm 1-worker service with the given `max_batch`, its S5/n1 store
