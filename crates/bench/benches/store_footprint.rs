@@ -1,118 +1,16 @@
-//! Store-footprint benches for the quantized arenas (§5.2.3): bytes/region
-//! and cache hit rate at a fixed `--cache-bytes` budget for f32 vs f16 vs
-//! int8, dequantizing-assembly cost per encoding, and artifact preload wall
-//! time owned-copy (`StoreArtifact::load`) vs mmap (`StoreArtifact::map`).
-//!
-//! The footprint/hit-rate section prints a report (it measures bytes, not
-//! time); the assembly and preload sections are ordinary criterion timings.
-
-use std::sync::Arc;
+//! Artifact preload bench (§5.2.3): wall time to load a fleet-shaped store
+//! artifact as an owned copy (`StoreArtifact::load`) vs zero-copy mmap
+//! (`StoreArtifact::map`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use concorde_core::arena::ArenaEncoding;
-use concorde_core::cache::{FeatureKey, ShardedStoreCache, StoreArtifact};
+use concorde_core::cache::{FeatureKey, StoreArtifact};
 use concorde_core::prelude::*;
-use concorde_cyclesim::MicroArch;
-
-fn reference_store() -> (FeatureStore, ReproProfile, MicroArch) {
-    // window_k 64 → a representative windows-per-series count (the default
-    // profile's 24k-instruction regions at k=256 land in the same regime).
-    let profile = ReproProfile {
-        window_k: 64,
-        ..ReproProfile::quick()
-    };
-    let spec = concorde_trace::by_id("S5").unwrap();
-    let full =
-        concorde_trace::generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
-    let (w, r) = full.instrs.split_at(profile.warmup_len);
-    let arch = MicroArch::arm_n1();
-    let store = FeatureStore::precompute(
-        w,
-        r,
-        &SweepConfig::for_pair(&MicroArch::big_core(), &arch),
-        &profile,
-    );
-    (store, profile, arch)
-}
-
-fn key(start: u64) -> FeatureKey {
-    FeatureKey {
-        workload: "S5".into(),
-        trace: 0,
-        start,
-        region_len: 4096,
-        sweep_hash: 7,
-    }
-}
-
-/// Replays a deterministic uniform-pseudorandom access trace (LCG, fixed
-/// seed) over `regions` distinct region keys against a budgeted cache
-/// holding `store`-sized entries, returning the hit rate. Under uniform
-/// access the LRU hit rate ≈ resident-regions / total-regions, so it
-/// directly measures how many regions the encoding packs under the budget.
-fn scan_hit_rate(store: &Arc<FeatureStore>, regions: u64, touches: u64) -> f64 {
-    let budget = 1_500_000usize; // fixed --cache-bytes across encodings
-    let cache = ShardedStoreCache::new(1, budget);
-    let mut hits = 0u64;
-    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-    for _ in 0..touches {
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let k = key((x >> 33) % regions);
-        if cache.get(&k).is_some() {
-            hits += 1;
-        } else {
-            cache.insert(k, Arc::clone(store));
-        }
-    }
-    hits as f64 / touches as f64
-}
-
-fn bench_footprint_report(_c: &mut Criterion) {
-    let (store, _, _) = reference_store();
-    let regions = 30u64;
-    let touches = 3_000;
-    eprintln!("\n== store_footprint: bytes/region and hit rate @ 1.5MB --cache-bytes ==");
-    eprintln!(
-        "{:>5}  {:>12}  {:>12}  {:>10}  {:>9}  {:>8}",
-        "enc", "encoded(B)", "raw(B)", "approx(B)", "vs f32", "hit rate"
-    );
-    let f32_total = store.approx_bytes();
-    for enc in ArenaEncoding::ALL {
-        let s = Arc::new(store.reencoded(enc));
-        let rate = scan_hit_rate(&s, regions, touches);
-        eprintln!(
-            "{:>5}  {:>12}  {:>12}  {:>10}  {:>8.2}x  {:>7.1}%",
-            enc.name(),
-            s.encoded_bytes(),
-            s.raw_bytes(),
-            s.approx_bytes(),
-            f32_total as f64 / s.approx_bytes() as f64,
-            rate * 100.0
-        );
-    }
-}
-
-fn bench_assembly_per_encoding(c: &mut Criterion) {
-    let (store, profile, arch) = reference_store();
-    let dim = FeatureSchema::dim_for(profile.encoding, FeatureVariant::Full);
-    let mut buf = vec![0.0f32; dim];
-    let mut g = c.benchmark_group("assembly_by_encoding");
-    for enc in ArenaEncoding::ALL {
-        let s = store.reencoded(enc);
-        g.bench_function(format!("features_into_full_{}", enc.name()), |b| {
-            b.iter(|| s.features_into(&arch, FeatureVariant::Full, &mut buf))
-        });
-    }
-    g.finish();
-}
 
 fn bench_preload(c: &mut Criterion) {
     // A fleet-shaped artifact: the §5.2.3 quantized sweep produces a store
-    // big enough (MBs at f32) that owned preload pays a real copy while the
-    // mapped path stays O(page faults touched at parse time).
+    // big enough (MBs) that owned preload pays a real copy while the mapped
+    // path stays O(page faults touched at parse time).
     let profile = ReproProfile {
         window_k: 64,
         ..ReproProfile::quick()
@@ -122,41 +20,26 @@ fn bench_preload(c: &mut Criterion) {
         concorde_trace::generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
     let (w, r) = full.instrs.split_at(profile.warmup_len);
     let store = FeatureStore::precompute(w, r, &SweepConfig::quantized(), &profile);
-    let dir = std::env::temp_dir();
+    let key = FeatureKey {
+        workload: "S5".into(),
+        trace: 0,
+        start: 0,
+        region_len: 4096,
+        sweep_hash: 7,
+    };
+    let path = std::env::temp_dir().join(format!("concorde_bench_{}.cfa", std::process::id()));
+    StoreArtifact::new(key, store).save(&path).unwrap();
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    eprintln!("preload fixture: {bytes} bytes");
     let mut g = c.benchmark_group("artifact_preload");
     g.sample_size(20);
-    for enc in ArenaEncoding::ALL {
-        let artifact = StoreArtifact::new(key(0), store.reencoded(enc));
-        let path = dir.join(format!(
-            "concorde_bench_{}_{}.cfa",
-            enc.name(),
-            std::process::id()
-        ));
-        artifact.save(&path).unwrap();
-        let bytes = std::fs::metadata(&path).unwrap().len();
-        eprintln!("preload fixture {}: {} bytes", enc.name(), bytes);
-        g.bench_function(format!("owned_copy_{}", enc.name()), |b| {
-            b.iter(|| StoreArtifact::load(&path).unwrap())
-        });
-        g.bench_function(format!("mmap_{}", enc.name()), |b| {
-            b.iter(|| StoreArtifact::map(&path).unwrap())
-        });
-    }
+    g.bench_function("owned_copy", |b| {
+        b.iter(|| StoreArtifact::load(&path).unwrap())
+    });
+    g.bench_function("mmap", |b| b.iter(|| StoreArtifact::map(&path).unwrap()));
     g.finish();
-    for enc in ArenaEncoding::ALL {
-        let path = dir.join(format!(
-            "concorde_bench_{}_{}.cfa",
-            enc.name(),
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-    }
+    std::fs::remove_file(&path).ok();
 }
 
-criterion_group!(
-    benches,
-    bench_footprint_report,
-    bench_assembly_per_encoding,
-    bench_preload
-);
+criterion_group!(benches, bench_preload);
 criterion_main!(benches);

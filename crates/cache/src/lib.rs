@@ -31,7 +31,7 @@ pub use config::{
 };
 pub use hierarchy::{Hierarchy, HierarchyStats};
 pub use inorder::{simulate_inorder, InOrderResult};
-pub use prefetch::StridePrefetcher;
+pub use prefetch::{PrefetchTargets, StridePrefetcher};
 pub use set::Cache;
 
 /// Cache line size in bytes (shared with `concorde-trace`).

@@ -37,14 +37,15 @@ impl StridePrefetcher {
     }
 
     /// Observes a load at `pc` touching `addr`; returns the line indices to
-    /// prefetch (empty when off or unconfirmed).
-    pub fn observe(&mut self, pc: u64, addr: u64) -> Vec<u64> {
+    /// prefetch (empty when off or unconfirmed) as an iterator that borrows
+    /// nothing and allocates nothing.
+    pub fn observe(&mut self, pc: u64, addr: u64) -> PrefetchTargets {
+        let mut out = PrefetchTargets::default();
         if self.degree == 0 {
-            return Vec::new();
+            return out;
         }
         let idx = ((pc >> 2) as usize) & (self.table.len() - 1);
         let e = &mut self.table[idx];
-        let mut out = Vec::new();
         if e.pc == pc {
             let stride = addr as i64 - e.last_addr as i64;
             if stride == e.stride && stride != 0 {
@@ -57,12 +58,12 @@ impl StridePrefetcher {
             }
             e.last_addr = addr;
             if e.confidence >= 2 && e.stride != 0 {
-                for k in 1..=i64::from(self.degree) {
-                    let target = addr as i64 + e.stride * k;
-                    if target >= 0 {
-                        out.push(target as u64 / LINE_BYTES);
-                    }
-                }
+                out = PrefetchTargets {
+                    addr: addr as i64,
+                    stride: e.stride,
+                    k: 0,
+                    degree: i64::from(self.degree),
+                };
             }
         } else {
             *e = StrideEntry {
@@ -76,6 +77,31 @@ impl StridePrefetcher {
     }
 }
 
+/// The lines one observed load prefetches: `(addr + stride·k) / LINE_BYTES`
+/// for `k = 1..=degree`, skipping negative targets.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefetchTargets {
+    addr: i64,
+    stride: i64,
+    k: i64,
+    degree: i64,
+}
+
+impl Iterator for PrefetchTargets {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.k < self.degree {
+            self.k += 1;
+            let target = self.addr + self.stride * self.k;
+            if target >= 0 {
+                return Some(target as u64 / LINE_BYTES);
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,7 +110,7 @@ mod tests {
     fn off_emits_nothing() {
         let mut p = StridePrefetcher::new(6, 0);
         for i in 0..10u64 {
-            assert!(p.observe(0x100, i * 64).is_empty());
+            assert_eq!(p.observe(0x100, i * 64).next(), None);
         }
     }
 
@@ -93,7 +119,7 @@ mod tests {
         let mut p = StridePrefetcher::new(6, 4);
         let mut emitted = Vec::new();
         for i in 0..8u64 {
-            emitted = p.observe(0x100, 0x1000 + i * 128);
+            emitted = p.observe(0x100, 0x1000 + i * 128).collect::<Vec<_>>();
         }
         assert_eq!(emitted.len(), 4);
         // Last access at 0x1000 + 7*128; next prefetches 128B apart.
@@ -104,12 +130,29 @@ mod tests {
     }
 
     #[test]
+    fn negative_targets_are_skipped() {
+        let mut p = StridePrefetcher::new(6, 4);
+        let mut emitted = Vec::new();
+        for i in 0..8u64 {
+            emitted = p.observe(0x100, 0x300 - i * 0x40).collect::<Vec<_>>();
+        }
+        // Last access at 0x300 - 7*0x40 = 0x140: targets 0x100, 0xc0, 0x80,
+        // 0x40; a stream ending at 0x40 reaches line 0 and skips the rest.
+        assert_eq!(emitted, [4, 3, 2, 1]);
+        let mut p = StridePrefetcher::new(6, 4);
+        for i in 0..8u64 {
+            emitted = p.observe(0x100, 0x200 - i * 0x40).collect::<Vec<_>>();
+        }
+        assert_eq!(emitted, [0]);
+    }
+
+    #[test]
     fn random_strides_never_confirm() {
         let mut p = StridePrefetcher::new(6, 4);
         let addrs = [0x0u64, 0x4040, 0x80, 0x9000, 0x140, 0x2340];
         let mut total = 0;
         for &a in &addrs {
-            total += p.observe(0x200, a).len();
+            total += p.observe(0x200, a).count();
         }
         assert_eq!(total, 0);
     }
@@ -121,7 +164,6 @@ mod tests {
             p.observe(0x100, 0x1000 + i * 64);
         }
         // Different pc, same slot: resets; no prefetch on first touches.
-        let out = p.observe(0x100 + (4 << 2), 0x9000);
-        assert!(out.is_empty());
+        assert_eq!(p.observe(0x100 + (4 << 2), 0x9000).next(), None);
     }
 }

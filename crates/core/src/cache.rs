@@ -417,8 +417,8 @@ pub struct StoreArtifact {
 
 /// Magic bytes opening a [`StoreArtifact`] file.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"CCFA";
-/// Artifact container format version (v4: v3's arena encodings + aligned,
-/// mmap-able store layout, plus an FNV-1a integrity checksum footer).
+/// Artifact container format version (v4: v3's aligned, mmap-able store
+/// layout plus an FNV-1a integrity checksum footer).
 pub const ARTIFACT_VERSION: u32 = 4;
 
 /// FNV-1a over a byte slice — the artifact integrity checksum. Same constants
@@ -594,8 +594,8 @@ impl StoreArtifact {
     }
 
     /// Memory-maps an artifact file and backs the store's arenas by views
-    /// into the mapping — **no arena bytes are copied through the heap**, so
-    /// preloading a fleet of artifacts costs page faults, not reads. The
+    /// into the mapping — **no arena bytes are copied through the heap**
+    /// (the checksum check still reads every page once). The
     /// mapping is shared by the returned store and every clone of it; when
     /// the last reference drops (e.g. the serving cache evicts the store and
     /// in-flight readers finish), the region is `munmap`ed.

@@ -30,7 +30,7 @@ use concorde_cyclesim::MicroArch;
 use concorde_trace::{BranchKind, Instruction};
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{ArenaEncoding, Buf, EncArena, MappedStore, RawArena};
+use crate::arena::{Buf, EncArena, MappedStore, RawArena};
 use crate::parallel::parallel_map;
 use crate::schema::FeatureSchema;
 use crate::sweep::{ReproProfile, SweepConfig};
@@ -124,15 +124,12 @@ type DKey = (u32, u32, u32);
 type IKey = (u32, u32);
 
 /// Precomputed performance distributions for one region, stored as flat
-/// grid-indexed arenas (see the module docs) under a pluggable
-/// [`ArenaEncoding`] — lossless `f32` (the precompute output), or `f16`/`int8`
-/// quantized via [`FeatureStore::reencoded`]. Arenas may be owned or backed
-/// by a shared [`MappedStore`] region (zero-copy artifact loading).
+/// grid-indexed lossless arenas (see the module docs). Arenas may be owned or
+/// backed by a shared [`MappedStore`] region (zero-copy artifact loading).
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
     k: usize,
     encoding: Encoding,
-    arena_encoding: ArenaEncoding,
     n_instr: usize,
     /// Length of every raw per-window series (identical across tables: all
     /// series are windowed over the same region with the same `k`).
@@ -556,8 +553,7 @@ impl FeatureStore {
         let mut take = |idx: usize| outs[idx].take().expect("each task consumed once");
 
         // Deterministic serial fill of the arenas, in grid order, into plain
-        // vectors; the lossless `f32` arenas are built at the end (quantized
-        // stores come from `reencoded`, never straight from a precompute).
+        // vectors; the arenas are built from them at the end.
         let s_len = ROB_SWEEP.len();
         let mut n_windows = 0usize;
         let mut rob_enc_v = Vec::with_capacity(n_d * n_rob * e);
@@ -671,13 +667,11 @@ impl FeatureStore {
             }
         }
 
-        let ae = ArenaEncoding::F32;
-        let ea = |v: &[f32]| EncArena::from_f32(v, e, ae);
-        let ra = |v: &[f64]| RawArena::from_f64(v, n_windows.max(1), ae);
+        let ea = |v: &[f32]| EncArena::from_f32(v, e);
+        let ra = |v: &[f64]| RawArena::from_f64(v, n_windows.max(1));
         let store = FeatureStore {
             k,
             encoding: enc,
-            arena_encoding: ae,
             n_instr: n,
             n_windows,
             rob_grid,
@@ -713,7 +707,7 @@ impl FeatureStore {
             fills_raw: ra(&fills_raw_v),
             buffers_enc: ea(&buffers_enc_v),
             buffers_raw: ra(&buffers_raw_v),
-            rob_curve: EncArena::from_f32(&rob_curve_v, s_len, ae),
+            rob_curve: EncArena::from_f32(&rob_curve_v, s_len),
             exec_lat: ea(&exec_lat_v),
             issue_lat: ea(&issue_lat_v),
             commit_lat: ea(&commit_lat_v),
@@ -780,60 +774,9 @@ impl FeatureStore {
         self.encoding
     }
 
-    /// How the store's arenas are encoded in memory (`f32`/`f16`/`int8`).
-    pub fn arena_encoding(&self) -> ArenaEncoding {
-        self.arena_encoding
-    }
-
     /// Whether the store's arenas are backed by a live `mmap` region.
     pub fn is_mapped(&self) -> bool {
         self.rob_enc.is_mapped()
-    }
-
-    /// Re-encodes every arena under `enc` (e.g. to quantize a freshly
-    /// precomputed lossless store before caching or writing an artifact).
-    /// `F32 → F32` is bit-exact; quantized→quantized re-encodes the
-    /// *dequantized* values, so always re-encode from the `F32` original
-    /// when one is available.
-    pub fn reencoded(&self, enc: ArenaEncoding) -> FeatureStore {
-        let ea = |a: &EncArena| EncArena::from_f32(&a.to_f32_vec(), a.stride(), enc);
-        let ra = |a: &RawArena| RawArena::from_f64(&a.to_f64_vec(), a.stride(), enc);
-        FeatureStore {
-            arena_encoding: enc,
-            rob_enc: ea(&self.rob_enc),
-            rob_raw: ra(&self.rob_raw),
-            lq_enc: ea(&self.lq_enc),
-            lq_raw: ra(&self.lq_raw),
-            sq_enc: ea(&self.sq_enc),
-            sq_raw: ra(&self.sq_raw),
-            mem_enc: ea(&self.mem_enc),
-            mem_raw: ra(&self.mem_raw),
-            alu_enc: ea(&self.alu_enc),
-            alu_raw: ra(&self.alu_raw),
-            fp_enc: ea(&self.fp_enc),
-            fp_raw: ra(&self.fp_raw),
-            ls_enc: ea(&self.ls_enc),
-            ls_raw: ra(&self.ls_raw),
-            pipes_lo_enc: ea(&self.pipes_lo_enc),
-            pipes_lo_raw: ra(&self.pipes_lo_raw),
-            pipes_hi_enc: ea(&self.pipes_hi_enc),
-            pipes_hi_raw: ra(&self.pipes_hi_raw),
-            fills_enc: ea(&self.fills_enc),
-            fills_raw: ra(&self.fills_raw),
-            buffers_enc: ea(&self.buffers_enc),
-            buffers_raw: ra(&self.buffers_raw),
-            rob_curve: ea(&self.rob_curve),
-            exec_lat: ea(&self.exec_lat),
-            issue_lat: ea(&self.issue_lat),
-            commit_lat: ea(&self.commit_lat),
-            isb_dist: ea(&self.isb_dist),
-            branch_dists: [
-                ea(&self.branch_dists[0]),
-                ea(&self.branch_dists[1]),
-                ea(&self.branch_dists[2]),
-            ],
-            ..self.clone()
-        }
     }
 
     /// Number of instructions in the analyzed region.
@@ -846,10 +789,9 @@ impl FeatureStore {
         self.n_windows
     }
 
-    /// The block-level schema of vectors this store assembles for `variant`,
-    /// annotated with the store's arena encoding.
+    /// The block-level schema of vectors this store assembles for `variant`.
     pub fn schema(&self, variant: FeatureVariant) -> FeatureSchema {
-        FeatureSchema::new(self.encoding, variant).with_arena_encoding(self.arena_encoding)
+        FeatureSchema::new(self.encoding, variant)
     }
 
     /// Branch misprediction rate (per instruction ×1000, i.e. MPKI-scaled to
@@ -947,10 +889,13 @@ impl FeatureStore {
     }
 
     /// Raw per-window throughput-bound series for a resource under `arch`
-    /// (used by Figure 1 and the min-bound baseline). Lossless stores borrow
-    /// straight from the arena; quantized stores dequantize into an owned
-    /// buffer.
+    /// (used by Figure 1 and the min-bound baseline), borrowed straight from
+    /// the arena on little-endian targets. Empty for a store of an empty
+    /// region, whose raw arenas hold no series.
     pub fn raw_series(&self, res: Resource, arch: &MicroArch) -> Cow<'_, [f64]> {
+        if self.n_windows == 0 {
+            return Cow::Borrowed(&[]);
+        }
         let idx = self.entry_idx(res, arch);
         self.raw_arena(res).series(idx)
     }
@@ -1156,27 +1101,16 @@ impl FeatureStore {
         ]
     }
 
-    /// In-memory footprint of the encoded features (bytes) under the store's
-    /// arena encoding — the §5.2.3 "precomputed performance features occupy…"
-    /// statistic. Quantized stores report their *quantized* payload (plus
-    /// dequantization params), so the cache byte budget admits what is
-    /// actually resident.
+    /// In-memory footprint of the encoded features (bytes) — the §5.2.3
+    /// "precomputed performance features occupy…" statistic.
     pub fn encoded_bytes(&self) -> usize {
         self.enc_arenas().iter().map(|a| a.payload_bytes()).sum()
     }
 
-    /// What [`FeatureStore::encoded_bytes`] would be at lossless `f32` — the
-    /// denominator of the compression ratio `concorde inspect` reports.
-    pub fn encoded_bytes_f32(&self) -> usize {
-        self.enc_arenas().iter().map(|a| a.f32_bytes()).sum()
-    }
-
     /// Total approximate in-memory footprint of the store (bytes): every
     /// encoded arena, raw series, grid, latency table, and distribution plus
-    /// the struct header — all at their *quantized* sizes. This is the
-    /// statistic the serving cache's byte budget (`--cache-bytes`) admits
-    /// against, so an `int8` store packs ~4× more regions under the same
-    /// budget than its `f32` original.
+    /// the struct header. This is the statistic the serving cache's byte
+    /// budget (`--cache-bytes`) admits against.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         size_of::<Self>()
@@ -1241,20 +1175,13 @@ impl FeatureStore {
         }
         let payload = self.arena_payload_bytes();
         let owned = self.approx_bytes().saturating_sub(payload);
-        let (data, _) = self.rob_enc.raw_parts();
-        owned + data.region().resident_bytes().min(payload)
+        owned + self.rob_enc.data().region().resident_bytes().min(payload)
     }
 
-    /// Total raw-series footprint (bytes) at the store's arena encoding: the
-    /// part of the store a serving deployment carries for the min-bound
-    /// baseline.
+    /// Total raw-series footprint (bytes): the part of the store a serving
+    /// deployment carries for the min-bound baseline.
     pub fn raw_bytes(&self) -> usize {
         self.raw_arenas().iter().map(|a| a.payload_bytes()).sum()
-    }
-
-    /// What [`FeatureStore::raw_bytes`] would be at lossless `f64`.
-    pub fn raw_bytes_f64(&self) -> usize {
-        self.raw_arenas().iter().map(|a| a.f64_bytes()).sum()
     }
 }
 
@@ -1262,9 +1189,19 @@ impl FeatureStore {
 // Compact binary artifact serialization (layout v3).
 // ---------------------------------------------------------------------------
 
-/// Magic bytes opening a serialized [`FeatureStore`] (layout v3: pluggable
-/// arena encoding, 8-byte-aligned arena payloads for zero-copy mmap loads).
+/// Magic bytes opening a serialized [`FeatureStore`] (layout v3: an
+/// arena-encoding tag word, 8-byte-aligned arena payloads for zero-copy mmap
+/// loads).
 pub const STORE_MAGIC: [u8; 4] = *b"CFS\x03";
+
+/// The arena-encoding tag word every store blob carries after its magic:
+/// `0`, lossless `f32`/`f64`. Tags 1 (f16) and 2 (int8) belonged to lossy
+/// encodings that were removed; the reader rejects them.
+const F32_ARENA_TAG: u32 = 0;
+
+/// The error a store blob carrying the removed f16 (1) or int8 (2) tag gets.
+const REMOVED_ENCODING: &str = "store blob uses an f16/int8 arena encoding; f16/int8 stores \
+     were removed (stores are always lossless f32) — re-run `concorde precompute`";
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -1294,30 +1231,20 @@ pub(crate) fn pad8(buf: &mut Vec<u8>) {
 }
 
 /// One arena record: `stride | entries | data_len | pad⁸ | data |
-/// params_len | pad⁸ | params`. The pads make every payload 8-byte aligned
+/// params_len (always 0) | pad⁸`. The pads make every payload 8-byte aligned
 /// within the store blob, so a mapped load can point arenas straight into
-/// the file.
-fn put_arena(buf: &mut Vec<u8>, stride: usize, entries: usize, data: &Buf, params: &Buf) {
+/// the file. The params length is the slot the removed f16/int8 encodings
+/// used for per-block dequantization parameters; it is kept so the layout
+/// stays byte-identical.
+fn put_arena(buf: &mut Vec<u8>, stride: usize, entries: usize, data: &Buf) {
     put_u64(buf, stride as u64);
     put_u64(buf, entries as u64);
     let data = data.bytes();
     put_u64(buf, data.len() as u64);
     pad8(buf);
     buf.extend_from_slice(data);
-    let params = params.bytes();
-    put_u64(buf, params.len() as u64);
+    put_u64(buf, 0);
     pad8(buf);
-    buf.extend_from_slice(params);
-}
-
-fn put_enc_arena(buf: &mut Vec<u8>, a: &EncArena) {
-    let (data, params) = a.raw_parts();
-    put_arena(buf, a.stride(), a.entries(), data, params);
-}
-
-fn put_raw_arena(buf: &mut Vec<u8>, a: &RawArena) {
-    let (data, params) = a.raw_parts();
-    put_arena(buf, a.stride(), a.entries(), data, params);
 }
 
 /// Bounded little-endian reader over a byte slice.
@@ -1388,56 +1315,53 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Reads one arena record written by `put_arena`, returning views into
-/// `region` (offsets are absolute: `base` + the reader's position).
+/// Reads one arena record written by `put_arena`, returning its stride,
+/// entry count and a view of its payload in `region` (offsets are absolute:
+/// `base` + the reader's position).
 fn read_arena_views(
     r: &mut ByteReader,
     region: &Arc<MappedStore>,
     base: usize,
-) -> std::io::Result<(usize, usize, Buf, Buf)> {
+) -> std::io::Result<(usize, usize, Buf)> {
     let stride = r.u64()? as usize;
     let entries = r.u64()? as usize;
     let data_len = r.u64()? as usize;
     r.align8()?;
     let data_off = base + r.pos();
     r.bytes(data_len)?;
-    let params_len = r.u64()? as usize;
+    let params_len = r.u64()?;
     r.align8()?;
-    let params_off = base + r.pos();
-    r.bytes(params_len)?;
-    Ok((
-        stride,
-        entries,
-        Buf::view(region, data_off, data_len),
-        Buf::view(region, params_off, params_len),
-    ))
+    if params_len != 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "arena params length is inconsistent with its header (lossless arenas carry none)",
+        ));
+    }
+    Ok((stride, entries, Buf::view(region, data_off, data_len)))
 }
 
 fn read_enc_arena(
     r: &mut ByteReader,
     region: &Arc<MappedStore>,
     base: usize,
-    enc: ArenaEncoding,
 ) -> std::io::Result<EncArena> {
-    let (stride, entries, data, params) = read_arena_views(r, region, base)?;
-    EncArena::from_views(enc, stride, entries, data, params)
+    let (stride, entries, data) = read_arena_views(r, region, base)?;
+    EncArena::from_views(stride, entries, data)
 }
 
 fn read_raw_arena(
     r: &mut ByteReader,
     region: &Arc<MappedStore>,
     base: usize,
-    enc: ArenaEncoding,
 ) -> std::io::Result<RawArena> {
-    let (stride, entries, data, params) = read_arena_views(r, region, base)?;
-    RawArena::from_views(enc, stride, entries, data, params)
+    let (stride, entries, data) = read_arena_views(r, region, base)?;
+    RawArena::from_views(stride, entries, data)
 }
 
 impl FeatureStore {
     /// Serializes the store to the compact binary artifact layout v3
-    /// (little-endian; bit-exact for every value under the store's arena
-    /// encoding; arena payloads padded to 8-byte boundaries so a mapped
-    /// load can reference them in place).
+    /// (little-endian; bit-exact for every value; arena payloads padded to
+    /// 8-byte boundaries so a mapped load can reference them in place).
     ///
     /// The field order here is the wire contract: [`FeatureStore::parse`]
     /// reads the same sequence. Any reorder must change both lists together
@@ -1447,7 +1371,7 @@ impl FeatureStore {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + self.encoded_bytes() + self.raw_bytes() * 2);
         buf.extend_from_slice(&STORE_MAGIC);
-        buf.extend_from_slice(&(self.arena_encoding.tag() as u32).to_le_bytes());
+        buf.extend_from_slice(&F32_ARENA_TAG.to_le_bytes());
         put_u64(&mut buf, self.k as u64);
         put_u64(&mut buf, self.encoding.levels as u64);
         put_u64(&mut buf, self.n_instr as u64);
@@ -1504,7 +1428,7 @@ impl FeatureStore {
             &self.branch_dists[1],
             &self.branch_dists[2],
         ] {
-            put_enc_arena(&mut buf, a);
+            put_arena(&mut buf, a.stride(), a.entries(), a.data());
         }
         for a in [
             &self.rob_raw,
@@ -1519,7 +1443,7 @@ impl FeatureStore {
             &self.fills_raw,
             &self.buffers_raw,
         ] {
-            put_raw_arena(&mut buf, a);
+            put_arena(&mut buf, a.stride(), a.entries(), a.data());
         }
         buf
     }
@@ -1543,7 +1467,8 @@ impl FeatureStore {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on a bad magic, unknown arena encoding, truncation,
+    /// `InvalidData` on a bad magic, an arena encoding other than lossless
+    /// `f32` (the removed f16/int8 tags get a message saying so), truncation,
     /// misalignment, or inconsistent arena shapes.
     pub fn parse(region: &Arc<MappedStore>, base: usize) -> std::io::Result<FeatureStore> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
@@ -1557,10 +1482,21 @@ impl FeatureStore {
                  re-run `concorde precompute` for older artifacts)",
             ));
         }
-        let arena_encoding = ArenaEncoding::from_tag(u64::from(r.u32()?))
-            .ok_or_else(|| bad("store blob declares an unknown arena encoding"))?;
+        match r.u32()? {
+            F32_ARENA_TAG => {}
+            1 | 2 => return Err(bad(REMOVED_ENCODING)),
+            _ => return Err(bad("store blob declares an unknown arena encoding")),
+        }
         let k = r.u64()? as usize;
         let levels = r.u64()? as usize;
+        // Every encoded block holds `2·levels + 1` values, so a level count
+        // beyond the blob's length can never match its arenas (and must not
+        // overflow `Encoding::dim` on the way to saying so).
+        if levels > region.bytes().len() {
+            return Err(bad(
+                "store blob declares more encoding levels than it has bytes",
+            ));
+        }
         let n_instr = r.u64()? as usize;
         let n_windows = r.u64()? as usize;
         let branch_info_branches = r.u64()?;
@@ -1591,7 +1527,7 @@ impl FeatureStore {
         }
         let i_keys = i_flat.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         let load_exec_est = r.u64s()?;
-        let enc_a = |r: &mut ByteReader| read_enc_arena(r, region, base, arena_encoding);
+        let enc_a = |r: &mut ByteReader| read_enc_arena(r, region, base);
         let rob_enc = enc_a(&mut r)?;
         let lq_enc = enc_a(&mut r)?;
         let sq_enc = enc_a(&mut r)?;
@@ -1609,7 +1545,7 @@ impl FeatureStore {
         let commit_lat = enc_a(&mut r)?;
         let isb_dist = enc_a(&mut r)?;
         let branch_dists = [enc_a(&mut r)?, enc_a(&mut r)?, enc_a(&mut r)?];
-        let raw_a = |r: &mut ByteReader| read_raw_arena(r, region, base, arena_encoding);
+        let raw_a = |r: &mut ByteReader| read_raw_arena(r, region, base);
         let rob_raw = raw_a(&mut r)?;
         let lq_raw = raw_a(&mut r)?;
         let sq_raw = raw_a(&mut r)?;
@@ -1624,7 +1560,6 @@ impl FeatureStore {
         let store = FeatureStore {
             k,
             encoding: Encoding { levels },
-            arena_encoding,
             n_instr,
             n_windows,
             rob_grid,

@@ -46,7 +46,7 @@ pub mod trainer;
 
 /// Convenient re-exports of the crate's primary API.
 pub mod prelude {
-    pub use crate::arena::{ArenaEncoding, EncArena, MappedStore, RawArena};
+    pub use crate::arena::{EncArena, MappedStore, RawArena};
     pub use crate::cache::{
         sweep_content_hash, CacheStats, FeatureKey, ShardStats, ShardedStoreCache, StoreArtifact,
     };

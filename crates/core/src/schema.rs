@@ -17,7 +17,6 @@ use concorde_analytic::rob::ROB_SWEEP;
 use concorde_cyclesim::MicroArch;
 use serde::{Deserialize, Serialize};
 
-use crate::arena::ArenaEncoding;
 use crate::features::{FeatureVariant, Resource};
 
 /// Version of the feature-vector layout. Bump on any change to block order,
@@ -25,9 +24,9 @@ use crate::features::{FeatureVariant, Resource};
 /// reported over the serving protocol so offline featurization and online
 /// serving can detect mismatches.
 ///
-/// v3: stores declare an [`ArenaEncoding`] (`f32`/`f16`/`int8`); quantized
-/// arenas carry per-block affine `(scale, offset)` dequantization params, and
-/// the artifact layout is 8-byte-aligned for zero-copy mmap loads.
+/// v3: store blobs carry an arena-encoding tag word (always `0`, lossless
+/// `f32`) and a per-arena params length (always `0`), and the artifact layout
+/// is 8-byte-aligned for zero-copy mmap loads.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Which section of the vector a block belongs to (paper Table 3 columns).
@@ -85,10 +84,6 @@ pub struct FeatureSchema {
     pub encoding: Encoding,
     /// Feature groups included.
     pub variant: FeatureVariant,
-    /// How the backing store's arenas are encoded (`f32`/`f16`/`int8`).
-    /// Quantized stores record per-block affine `(scale, offset)` params in
-    /// the arenas themselves; the assembled vector is always `f32`.
-    pub arena_encoding: ArenaEncoding,
     blocks: Vec<FeatureBlock>,
 }
 
@@ -129,19 +124,10 @@ impl FeatureSchema {
             version: SCHEMA_VERSION,
             encoding,
             variant,
-            arena_encoding: ArenaEncoding::F32,
             blocks,
         };
         debug_assert_eq!(schema.dim(), Self::dim_for(encoding, variant));
         schema
-    }
-
-    /// The same schema annotated with the arena encoding of the store(s) it
-    /// will be assembled from (what `{"cmd": "schema"}` reports for a server
-    /// running `--encoding f16|int8`).
-    pub fn with_arena_encoding(mut self, enc: ArenaEncoding) -> Self {
-        self.arena_encoding = enc;
-        self
     }
 
     /// Total input dimension for `encoding` and `variant` without building

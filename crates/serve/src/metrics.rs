@@ -45,7 +45,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use concorde_core::arena::ArenaEncoding;
 use concorde_core::cache::{CacheStats, ShardStats};
 use concorde_core::schema::SCHEMA_VERSION;
 use serde::{Deserialize, Serialize};
@@ -243,9 +242,6 @@ pub struct ServiceStats {
     pub precompute_workers: usize,
     /// Concurrent TCP connection cap.
     pub max_connections: usize,
-    /// Arena encoding of stores built on the miss path (`--encoding`).
-    #[serde(default)]
-    pub store_encoding: Option<ArenaEncoding>,
     /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
     #[serde(default)]
     pub kernel: Option<String>,
@@ -359,7 +355,6 @@ pub(crate) fn snapshot(shared: &Shared) -> Snapshot {
             workers: cfg.effective_workers(),
             precompute_workers: cfg.effective_precompute_workers(),
             max_connections: cfg.max_connections.max(1),
-            store_encoding: Some(cfg.store_encoding),
             kernel: Some(concorde_ml::kernel_name().to_string()),
         },
         latency,
@@ -389,17 +384,10 @@ pub(crate) fn prometheus_text(s: &Snapshot) -> String {
     w.family(
         "concorde_build_info",
         Gauge,
-        "Constant 1; labels carry the served feature-schema version, arena encoding, and active MLP kernel.",
+        "Constant 1; labels carry the served feature-schema version and active MLP kernel.",
         &[(
             vec![
                 ("schema_version", SCHEMA_VERSION.to_string()),
-                (
-                    "encoding",
-                    s.stats
-                        .store_encoding
-                        .map(|e| format!("{e:?}").to_lowercase())
-                        .unwrap_or_default(),
-                ),
                 ("kernel", s.stats.kernel.clone().unwrap_or_default()),
             ],
             1.0,

@@ -37,7 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use concorde_core::arena::ArenaEncoding;
 use concorde_core::cache::{sweep_content_hash, FeatureKey, ShardedStoreCache, StoreArtifact};
 use concorde_core::features::FeatureStore;
 use concorde_core::model::{ConcordePredictor, PredictScratch};
@@ -155,11 +154,6 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Sweep each store precomputes.
     pub sweep: SweepScope,
-    /// Arena encoding for stores built on the miss path (`--encoding`):
-    /// `f16`/`int8` shrink the per-region footprint 2–4×, multiplying how
-    /// many regions fit under [`ServeConfig::cache_bytes`] at a small,
-    /// bounded prediction drift. Preloaded artifacts keep their own encoding.
-    pub store_encoding: ArenaEncoding,
     /// Per-class miss-wait SLOs (`--slo`): the deadline a request without
     /// its own `deadline_ms` gets for the precompute pool's EDF ordering.
     /// Empty by default (per-class QoS off).
@@ -202,7 +196,6 @@ impl Default for ServeConfig {
             precompute_workers: 0,
             max_connections: 256,
             sweep: SweepScope::PerArch,
-            store_encoding: ArenaEncoding::F32,
             class_slo: ClassSlo::default(),
             read_timeout: None,
             max_line_bytes: 1 << 20,
@@ -540,8 +533,7 @@ impl PredictionService {
     }
 
     /// The feature schema (version + named blocks) this service's model
-    /// consumes, annotated with the miss-path arena encoding; served to
-    /// clients as `{"cmd": "schema"}`.
+    /// consumes; served to clients as `{"cmd": "schema"}`.
     pub fn schema(&self) -> FeatureSchema {
         schema_of(&self.shared)
     }
@@ -871,11 +863,7 @@ pub(crate) fn submit_waiting(
 }
 
 pub(crate) fn schema_of(shared: &Shared) -> FeatureSchema {
-    shared
-        .model
-        .layout
-        .schema()
-        .with_arena_encoding(shared.cfg.store_encoding)
+    shared.model.layout.schema()
 }
 
 /// True once every shutdown-drain obligation is met. Read order matters:
@@ -1548,12 +1536,6 @@ fn precompute_store(shared: &Shared, key: &FeatureKey, sweep: &SweepConfig) -> F
         .unwrap_or(1);
     let threads = (cores / active).max(1);
     let store = FeatureStore::precompute_threaded(w, r, sweep, &shared.profile, threads);
-    // Quantize before caching: the byte budget then admits the compressed
-    // footprint, so f16/int8 servers hold 2–4× more regions resident.
-    let store = match shared.cfg.store_encoding {
-        ArenaEncoding::F32 => store,
-        enc => store.reencoded(enc),
-    };
     // `CONCORDE_VERIFY_STORES=1`: round-trip the freshly built store through
     // its own serialization before it lands in the cache. A failure panics
     // into the caller's unwind guard — retried once, then the waiters get a

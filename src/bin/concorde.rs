@@ -37,15 +37,14 @@ fn usage_text() -> &'static str {
          concorde sweep     <workload> <param> v1,v2,… [--arch n1|big] [--len N]\n  \
          concorde attribute <workload> [--len N]\n  \
          concorde precompute <workload> --out FILE [--trace N] [--start N] [--len N]\n             \
-         [--profile quick|default] [--sweep arch|quantized] [--arch n1|big]\n             \
-         [--encoding f32|f16|int8]\n  \
+         [--profile quick|default] [--sweep arch|quantized] [--arch n1|big]\n  \
          concorde inspect   <FILE>\n  \
          concorde serve     [--addr HOST:PORT] [--model PATH] [--save-model PATH]\n             \
          [--profile quick|default] [--train-samples N] [--workers N]\n             \
          [--max-batch N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
          [--precompute-workers N] [--max-conns N]\n             \
          [--slo CLASS=MS,…] [--metrics-addr HOST:PORT]\n             \
-         [--sweep arch|quantized] [--encoding f32|f16|int8] [--preload FILE]…\n             \
+         [--sweep arch|quantized] [--preload FILE]…\n             \
          [--read-timeout-ms N] [--max-line-bytes N[k|m|g]] [--dynamic-workloads DIR]\n  \
          concorde predict   <workload> [--addr HOST:PORT] [--arch n1|big] [--set param=value …]\n             \
          [--trace N] [--start N] [--count N] [--deadline-ms N]\n             \
@@ -193,17 +192,16 @@ fn parse_bytes(flag: &str, v: &str) -> usize {
     parse_byte_size(v).unwrap_or_else(|e| bail(&format!("{flag}: {e}")))
 }
 
-/// Parses `--encoding f32|f16|int8` (default `f32`).
-fn parse_encoding(args: &[String]) -> ArenaEncoding {
-    match flag_value(args, "--encoding") {
-        None => ArenaEncoding::F32,
-        Some(v) => ArenaEncoding::parse(v).unwrap_or_else(|| {
-            bail(&format!(
-                "unknown --encoding `{v}` (expected f32, f16, or int8)"
-            ))
-        }),
+/// Exits 2 with `<flag> was removed: <why>` if `args` names a retired flag.
+fn reject_retired(args: &[String], retired: &[(&str, &str)]) {
+    for (flag, why) in retired {
+        if args.iter().any(|a| a == flag) {
+            bail(&format!("{flag} was removed: {why}"));
+        }
     }
 }
+
+const RETIRED_ENCODING: (&str, &str) = ("--encoding", "stores are always lossless f32");
 
 fn serve_config(args: &[String]) -> ServeConfig {
     if args.iter().any(|a| a == "--cache") {
@@ -215,23 +213,23 @@ fn serve_config(args: &[String]) -> ServeConfig {
     }
     let f32_pool = "the service always runs the f32 model and builds cache misses \
                     on the precompute pool";
-    for (flag, why) in [
-        ("--model-encoding", f32_pool),
-        ("--inline-miss", f32_pool),
-        (
-            "--miss-slo-ms",
-            "every request gets the exact answer; use --slo interactive=N,batch=N \
-             to order cold builds by deadline",
-        ),
-        (
-            "--deadline-us",
-            "batches flush as soon as the queue is empty",
-        ),
-    ] {
-        if args.iter().any(|a| a == flag) {
-            bail(&format!("{flag} was removed: {why}"));
-        }
-    }
+    reject_retired(
+        args,
+        &[
+            ("--model-encoding", f32_pool),
+            ("--inline-miss", f32_pool),
+            (
+                "--miss-slo-ms",
+                "every request gets the exact answer; use --slo interactive=N,batch=N \
+                 to order cold builds by deadline",
+            ),
+            (
+                "--deadline-us",
+                "batches flush as soon as the queue is empty",
+            ),
+            RETIRED_ENCODING,
+        ],
+    );
     let sweep = match flag_value(args, "--sweep") {
         None | Some("arch") => SweepScope::PerArch,
         Some("quantized") => SweepScope::Quantized,
@@ -251,7 +249,6 @@ fn serve_config(args: &[String]) -> ServeConfig {
         precompute_workers: parse_num(args, "--precompute-workers", 0usize),
         max_connections: parse_num(args, "--max-conns", defaults.max_connections),
         sweep,
-        store_encoding: parse_encoding(args),
         class_slo: flag_value(args, "--slo")
             .map(|v| ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}"))))
             .unwrap_or_default(),
@@ -498,10 +495,14 @@ fn main() {
                 })
                 .collect();
             let len = parse_len(&args, 24_000);
+            let mut spec = arch_spec_from_args(&args);
+            let base = match spec.base.as_deref() {
+                Some("big") => "big core",
+                _ => "ARM N1",
+            };
             let (w, r) = region_of(id, len);
-            println!("{id}: sweeping {param} (base: ARM N1)");
+            println!("{id}: sweeping {param} (base: {base})");
             for v in values {
-                let mut spec = arch_spec_from_args(&args);
                 if !set_spec_param(&mut spec, param, v) {
                     bail(&format!("unknown parameter `{param}`"));
                 }
@@ -539,6 +540,7 @@ fn main() {
             );
         }
         "precompute" => {
+            reject_retired(&args, &[RETIRED_ENCODING]);
             let id = operand(
                 &args,
                 1,
@@ -561,16 +563,12 @@ fn main() {
             let resolved = resolve_workload(id).unwrap_or_else(|e| {
                 bail(&format!("{e}; run `concorde workloads` for the suite list"))
             });
-            let encoding = parse_encoding(&args);
             let warm_start = start.saturating_sub(profile.warmup_len as u64);
             let warm_len = (start - warm_start) as usize;
             let region = resolved.materialize(trace, warm_start, warm_len + len as usize);
             let (w, r) = region.instrs.split_at(warm_len.min(region.instrs.len()));
             let t0 = std::time::Instant::now();
-            let mut store = FeatureStore::precompute(w, r, &sweep, &profile);
-            if encoding != ArenaEncoding::F32 {
-                store = store.reencoded(encoding);
-            }
+            let store = FeatureStore::precompute(w, r, &sweep, &profile);
             let precompute_time = t0.elapsed();
             let key = FeatureKey {
                 workload: id.into(),
@@ -585,15 +583,11 @@ fn main() {
                 .save(path)
                 .unwrap_or_else(|e| bail(&format!("cannot write {out}: {e}")));
             let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let f32_equiv = artifact.store.encoded_bytes_f32() + artifact.store.raw_bytes_f64();
-            let quantized = artifact.store.encoded_bytes() + artifact.store.raw_bytes();
             println!(
-                "{id}: precomputed in {precompute_time:?} (schema v{SCHEMA_VERSION}, \
-                 encoding {encoding}); {} encoded bytes, {} raw bytes \
-                 ({:.2}x vs f32), artifact {out} ({file_bytes} bytes)",
+                "{id}: precomputed in {precompute_time:?} (schema v{SCHEMA_VERSION}); \
+                 {} encoded bytes, {} raw bytes, artifact {out} ({file_bytes} bytes)",
                 artifact.store.encoded_bytes(),
                 artifact.store.raw_bytes(),
-                f32_equiv as f64 / quantized.max(1) as f64,
             );
             println!(
                 "serve it with: concorde serve --preload {out}{}",
@@ -612,8 +606,6 @@ fn main() {
                 .unwrap_or_else(|e| bail(&format!("cannot load {path}: {e}")));
             let store = &artifact.store;
             let schema = store.schema(FeatureVariant::Full);
-            let f32_equiv = store.encoded_bytes_f32() + store.raw_bytes_f64();
-            let quantized = store.encoded_bytes() + store.raw_bytes();
             let report = serde_json::json!({
                 "artifact": {
                     "path": path,
@@ -630,11 +622,8 @@ fn main() {
                     "n_windows": store.n_windows(),
                     "encoding_levels": store.encoding().levels,
                     "encoding_dim": store.encoding().dim(),
-                    "arena_encoding": store.arena_encoding().name(),
                     "encoded_bytes": store.encoded_bytes(),
                     "raw_bytes": store.raw_bytes(),
-                    "f32_equivalent_bytes": f32_equiv,
-                    "compression_ratio": f32_equiv as f64 / quantized.max(1) as f64,
                     // Full resident footprint: what the serving cache's byte
                     // budget charges for this store — size `--cache-bytes`
                     // from this.
@@ -702,13 +691,12 @@ fn main() {
             );
             eprintln!(
                 "[serve] listening on {addr} ({} workers, {} precompute threads); \
-                 cache: {} shards, {} byte budget, {} stores; miss SLO: {}; \
+                 cache: {} shards, {} byte budget; miss SLO: {}; \
                  protocol: one JSON request per line",
                 service.workers(),
                 service.precompute_workers(),
                 service.config().effective_cache_shards(),
                 service.config().cache_bytes,
-                service.config().store_encoding,
                 {
                     let slo = &service.config().class_slo;
                     if slo.is_empty() {

@@ -1,25 +1,33 @@
 //! Proves `Hierarchy::new` makes a small, size-independent number of heap
 //! allocations: one flat array per cache level plus the prefetcher table,
-//! never one vector per set. Kept in its own integration test binary so no
-//! other test's allocations race with the counter.
+//! never one vector per set — and that the stride prefetcher emits its
+//! targets without allocating. Allocations are counted per thread, so the
+//! tests in this binary do not race with each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use concorde_suite::prelude::*;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown are simply not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -28,7 +36,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,12 +44,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-fn allocs_of_new(cfg: MemConfig) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let h = Hierarchy::new(cfg);
-    let after = ALLOCS.load(Ordering::SeqCst);
-    drop(h);
+/// Allocations the current thread makes while running `f` (its result is
+/// dropped after the count is taken).
+fn allocs_of<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    let after = ALLOCS.with(Cell::get);
+    drop(out);
     after - before
+}
+
+fn allocs_of_new(cfg: MemConfig) -> u64 {
+    allocs_of(|| Hierarchy::new(cfg))
 }
 
 #[test]
@@ -70,4 +84,30 @@ fn hierarchy_new_allocates_a_constant_handful() {
         allocs_of_new(smallest),
         "the allocation count must not grow with cache size"
     );
+}
+
+#[test]
+fn prefetching_allocates_nothing_per_load() {
+    // S2 streams through memory (hundreds of confirmed-stride prefetches
+    // per region) and C1 prefetches a few dozen times: with degree 4 the
+    // simulation must make exactly as many allocations as with degree 0.
+    for id in ["S2", "C1"] {
+        let region = generate_region(&by_id(id).unwrap(), 0, 0, 8192);
+        let cfg = |prefetch_degree| MemConfig {
+            prefetch_degree,
+            ..MicroArch::arm_n1().mem
+        };
+        assert!(
+            simulate_inorder(&region.instrs, cfg(4)).stats.prefetches > 0,
+            "{id} must exercise the prefetcher"
+        );
+        let (off, on) = (
+            allocs_of(|| simulate_inorder(&region.instrs, cfg(0))),
+            allocs_of(|| simulate_inorder(&region.instrs, cfg(4))),
+        );
+        assert!(
+            on <= off,
+            "{id}: simulate_inorder made {on} allocations with prefetch degree 4 vs {off} with degree 0"
+        );
+    }
 }

@@ -537,51 +537,6 @@ fn hot_cold_keys_build_before_lonely_ones() {
 }
 
 #[test]
-fn int8_serving_matches_f32_within_tolerance() {
-    // `--encoding int8` end to end: the miss path quantizes built stores, the
-    // schema + stats report it, and predictions stay within the drift bound
-    // pinned by tests/quantization.rs.
-    let (model, profile) = tiny_service_parts();
-    let f32_model = model.clone();
-    let service = PredictionService::start(
-        model,
-        profile.clone(),
-        ServeConfig {
-            store_encoding: ArenaEncoding::Int8,
-            ..quick_config()
-        },
-    );
-    let client = service.client();
-    let req = PredictRequest::new(1, "S5", ArchSpec::base("n1"));
-    let first = client.predict(req.clone()).unwrap();
-    let cpi = first.cpi.expect("int8 serving must answer");
-    // Reference: the same region through an f32 store, predicted directly.
-    let arch = req.arch.resolve().unwrap();
-    let spec = by_id("S5").unwrap();
-    let full = generate_region(&spec, 0, 0, profile.region_len);
-    let store =
-        FeatureStore::precompute(&[], &full.instrs, &SweepConfig::for_arch(&arch), &profile);
-    let direct = f32_model.predict(&store, &arch);
-    assert!(
-        (cpi - direct).abs() / direct < 0.05,
-        "int8-served CPI {cpi} vs f32 direct {direct}"
-    );
-    // The quantized store is what's resident: it must be smaller than its
-    // f32 equivalent would be.
-    let stats = service.stats();
-    assert_eq!(stats.store_encoding, Some(ArenaEncoding::Int8));
-    // Strictly smaller resident footprint than the f32 equivalent (this
-    // tiny 2048-instruction fixture is dominated by fixed struct overhead;
-    // the ≥3× arena shrinkage is pinned in tests/quantization.rs).
-    assert!(stats.cache.totals.bytes < store.approx_bytes());
-    assert_eq!(service.schema().arena_encoding, ArenaEncoding::Int8);
-    // Repeat queries hit the quantized store bitwise-stably.
-    let second = client.predict(req).unwrap();
-    assert!(second.cached);
-    assert_eq!(second.cpi.unwrap().to_bits(), cpi.to_bits());
-}
-
-#[test]
 fn stats_report_cache_occupancy_and_bytes() {
     let (model, profile) = tiny_service_parts();
     let service = PredictionService::start(

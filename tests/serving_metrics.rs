@@ -565,7 +565,6 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
             "workers",
             "precompute_workers",
             "max_connections",
-            "store_encoding",
             "kernel",
         ])
     );
@@ -592,7 +591,7 @@ fn stats_views_pin_their_wire_shape_and_agree_at_quiescence() {
         (
             "concorde_build_info",
             "gauge",
-            &["encoding", "kernel", "schema_version"][..],
+            &["kernel", "schema_version"][..],
         ),
         ("concorde_requests_submitted_total", "counter", &[]),
         ("concorde_requests_rejected_total", "counter", &[]),
