@@ -57,8 +57,9 @@ fn end_to_end_pipeline_beats_naive_predictor() {
     let store = FeatureStore::precompute(w, r, &SweepConfig::for_arch(&s0.arch), &profile);
     let via_store = model.predict(&store, &s0.arch);
     let via_features = model.predict_features(&s0.features);
-    assert!(
-        (via_store - via_features).abs() / via_features < 1e-6,
+    assert_eq!(
+        via_store.to_bits(),
+        via_features.to_bits(),
         "store path {via_store} must equal stored-features path {via_features}"
     );
 }
