@@ -55,7 +55,7 @@ pub trait TraceProvider: Send + Sync {
 }
 
 /// A lazily-invoked constructor for ids carrying a given prefix.
-type Resolver = Box<dyn Fn(&str) -> Result<Arc<dyn TraceProvider>, String> + Send + Sync>;
+type Resolver = Arc<dyn Fn(&str) -> Result<Arc<dyn TraceProvider>, String> + Send + Sync>;
 
 /// Maximum resolver-built providers cached at once. Each provider holds a
 /// full recorded trace (multiple MB for real binaries), and the id space is
@@ -172,7 +172,7 @@ pub fn register_resolver(
         .write()
         .unwrap_or_else(|e| e.into_inner());
     resolvers.retain(|(p, _)| p != prefix);
-    resolvers.push((prefix.to_string(), Box::new(f)));
+    resolvers.push((prefix.to_string(), Arc::new(f)));
 }
 
 /// Ids of every currently-registered dynamic workload (sorted, so catalog
@@ -276,12 +276,20 @@ pub fn resolve_workload(id: &str) -> Result<ResolvedWorkload, String> {
             {
                 return Ok(Arc::clone(&e.provider));
             }
-            let resolvers = reg.resolvers.read().unwrap_or_else(|e| e.into_inner());
-            let (_, f) = resolvers
-                .iter()
-                .filter(|(p, _)| id.starts_with(p.as_str()))
-                .max_by_key(|(p, _)| p.len())
-                .expect("match checked above");
+            // Clone the resolver out and drop the guard before running it:
+            // a resolver may take seconds, and a waiting `register_resolver`
+            // writer would otherwise block every other id's resolution
+            // behind it (std's `RwLock` stops admitting readers once a
+            // writer waits).
+            let f = {
+                let resolvers = reg.resolvers.read().unwrap_or_else(|e| e.into_inner());
+                let (_, f) = resolvers
+                    .iter()
+                    .filter(|(p, _)| id.starts_with(p.as_str()))
+                    .max_by_key(|(p, _)| p.len())
+                    .expect("match checked above");
+                Arc::clone(f)
+            };
             f(id)
         })
         .clone();
@@ -461,6 +469,39 @@ mod tests {
         let r = resolve_workload("test-evict:n0").expect("re-resolves");
         assert_eq!(r.spec().id, "test-evict:n0");
         assert_eq!(CALLS.load(Ordering::SeqCst), before + 1, "n0 was rebuilt");
+    }
+
+    #[test]
+    fn a_running_resolver_does_not_block_registration() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        static ENTERED: AtomicBool = AtomicBool::new(false);
+        static REGISTERED: AtomicBool = AtomicBool::new(false);
+        // The resolver parks until another thread's `register_resolver` has
+        // returned. Were the registry lock held across the resolver call,
+        // that registration could not take the write lock, and the resolver
+        // would give up at its deadline — failing, not hanging, the test.
+        register_resolver("test-park:", |id| {
+            ENTERED.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !REGISTERED.load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    return Err("register_resolver blocked behind a running resolver".to_string());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(fixed(id, 8))
+        });
+        let parked = std::thread::spawn(|| resolve_workload("test-park:x"));
+        while !ENTERED.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        register_resolver("test-park-other:", |id| Ok(fixed(id, 8)));
+        REGISTERED.store(true, Ordering::SeqCst);
+        parked
+            .join()
+            .unwrap()
+            .expect("the parked resolution completes");
     }
 
     #[test]
