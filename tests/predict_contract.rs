@@ -22,8 +22,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 /// Largest relative CPI gap allowed between the predictor and the dense
-/// reference. The worst case measured over this test's inputs is below
-/// 2.5e-6 (SIMD and scalar); the bound keeps a 4× margin.
+/// reference. The worst case measured over this test's inputs is 2.27e-6
+/// under AVX2+FMA and 2.38e-6 under the scalar kernel; the bound keeps a 4×
+/// margin. Rounding grows with `Σ|w·x|`, so an input far outside the
+/// normalizer's fitted range (a dim constant in training standardizes to
+/// |z| ≈ 1e3–1e4) can move further from the dense chain — both chains are
+/// then equally far from exact arithmetic.
 const DENSE_REL_TOL: f64 = 1e-5;
 
 /// Grid architectures per program.
@@ -74,18 +78,23 @@ fn grid_arch(rng: &mut ChaCha12Rng) -> MicroArch {
     a
 }
 
-fn trained_model() -> ConcordePredictor {
-    let mut p = ReproProfile::quick();
-    p.epochs = 3;
-    let data = generate_dataset(&DatasetConfig {
-        profile: p.clone(),
-        n: 16,
-        seed: 23,
-        arch: ArchSampling::Random,
-        workloads: Some(vec![15, 20]),
-        threads: 0,
-    });
-    train_model(&data, &p, &TrainOptions::default())
+/// A model with the quick profile's network shape, seeded Xavier weights,
+/// and a normalizer fitted on `rows` — the inputs it is then checked on, so
+/// every dim is standardized within its fitted range, as a served model's
+/// inputs are within its training distribution.
+fn model_fitted_on(rows: &[f32], layout: FeatureLayout) -> ConcordePredictor {
+    let dim = layout.dim();
+    let mut rng = ChaCha12Rng::seed_from_u64(0x1a7e);
+    let mut shape = vec![dim];
+    shape.extend(profile().hidden);
+    shape.push(1);
+    ConcordePredictor {
+        layout,
+        normalizer: Normalizer::fit(rows, dim, true),
+        mlp: Mlp::new(&shape, &mut rng),
+        log_output: true,
+        output_clamp: None,
+    }
 }
 
 /// The dense reference: the whole standardized row through the MLP's
@@ -158,33 +167,43 @@ fn check_store(
 
 #[test]
 fn predictor_paths_agree_bitwise_and_stay_within_tolerance_of_dense() {
-    let model = trained_model();
     let profile = profile();
+    let layout = FeatureLayout {
+        encoding: profile.encoding,
+        variant: FeatureVariant::Full,
+    };
     let quantized = SweepConfig::quantized();
     let mut arch_rng = ChaCha12Rng::seed_from_u64(0xFAC7);
-    let mut rng = ChaCha12Rng::seed_from_u64(0x5EED);
-    let mut scratch = PredictScratch::default();
-    let mut scalar_scratch = PredictScratch::default();
-    let mut worst = [0.0f64; 2];
+    let mut cases = Vec::new();
+    let mut rows = Vec::new();
     for spec in suite() {
         let full = generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
         let (w, r) = full.instrs.split_at(profile.warmup_len);
         let archs: Vec<MicroArch> = (0..ARCHS).map(|_| grid_arch(&mut arch_rng)).collect();
-        let stores = [
+        for (name, sweep) in [
             ("per-arch", SweepConfig::for_arch(&archs[0])),
             ("quantized", quantized.clone()),
-        ]
-        .map(|(name, sweep)| (name, FeatureStore::precompute(w, r, &sweep, &profile)));
-        for (name, store) in &stores {
-            let label = format!("{} {name}", spec.id);
-            let simd = check_store(&model, store, &archs, &mut rng, &mut scratch, &label);
-            worst[0] = worst[0].max(simd);
-            let _g = forced_scalar();
-            assert_eq!(active_kernel(), KernelKind::Scalar);
-            let label = format!("{label} scalar");
-            let scalar = check_store(&model, store, &archs, &mut rng, &mut scalar_scratch, &label);
-            worst[1] = worst[1].max(scalar);
+        ] {
+            let store = FeatureStore::precompute(w, r, &sweep, &profile);
+            for a in &archs {
+                rows.extend(store.features(a, layout.variant));
+            }
+            cases.push((format!("{} {name}", spec.id), store, archs.clone()));
         }
+    }
+    let model = model_fitted_on(&rows, layout);
+    let mut rng = ChaCha12Rng::seed_from_u64(0x5EED);
+    let mut scratch = PredictScratch::default();
+    let mut scalar_scratch = PredictScratch::default();
+    let mut worst = [0.0f64; 2];
+    for (label, store, archs) in &cases {
+        let simd = check_store(&model, store, archs, &mut rng, &mut scratch, label);
+        worst[0] = worst[0].max(simd);
+        let _g = forced_scalar();
+        assert_eq!(active_kernel(), KernelKind::Scalar);
+        let label = format!("{label} scalar");
+        let scalar = check_store(&model, store, archs, &mut rng, &mut scalar_scratch, &label);
+        worst[1] = worst[1].max(scalar);
     }
     eprintln!(
         "worst relative gap to the dense reference: {:.3e} dispatched, {:.3e} scalar",
