@@ -11,8 +11,10 @@
 //! indexed by *grid position*: every sweep value is known up front, so a
 //! lookup is a nearest-grid-index search over a tiny array plus a computed
 //! offset, never a hash. [`FeatureStore::features_into`] assembles the ML
-//! input vector into a caller-owned buffer with zero heap allocations, which
-//! is what makes design-space sweeps and Shapley attribution cheap (§5.2.3).
+//! input vector into a caller-owned buffer with zero heap allocations, and
+//! the predictor's batch path reads each distinct store entry once per
+//! input segment instead (`FeatureStore::plan_entries`), which is what
+//! makes design-space sweeps and Shapley attribution cheap (§5.2.3).
 //! [`FeatureStore::precompute`] parallelizes internally across memory
 //! configurations and sweep points, and stores round-trip through a compact
 //! binary artifact format ([`FeatureStore::to_bytes`]) so servers can boot
@@ -117,6 +119,91 @@ impl FeatureLayout {
     /// The full block-level schema for this layout.
     pub fn schema(&self) -> FeatureSchema {
         FeatureSchema::new(self.encoding, self.variant)
+    }
+
+    /// The vector cut into the segments the predictor's first layer
+    /// projects one at a time, in column order: the 11 primary blocks, the
+    /// misprediction scalar, the store-constant ISB + branch group and the
+    /// per-memory-configuration group (per variant), and the parameter
+    /// tail. A pure function of the layout; allocates nothing.
+    pub(crate) fn segments(&self) -> Segments {
+        let e = self.encoding.dim();
+        let s = ROB_SWEEP.len();
+        let mut out = Segments {
+            items: [InputSegment {
+                source: SegmentSource::Stall,
+                start: 0,
+                len: 0,
+            }; MAX_SEGMENTS],
+            len: 0,
+        };
+        let mut start = 0;
+        let mut push = |source: SegmentSource, len: usize| {
+            out.items[out.len] = InputSegment { source, start, len };
+            out.len += 1;
+            start += len;
+        };
+        for res in Resource::ALL {
+            push(SegmentSource::Primary(res), e);
+        }
+        push(SegmentSource::Mispredict, 1);
+        if self.variant != FeatureVariant::Base {
+            push(SegmentSource::Stall, 4 * e);
+            let latency = self.variant == FeatureVariant::Full;
+            let len = if latency { s + (2 * s + 1) * e } else { s };
+            push(SegmentSource::Memory { latency }, len);
+        }
+        push(SegmentSource::Params, MicroArch::ENCODED_DIM);
+        debug_assert_eq!(start, self.dim());
+        out
+    }
+}
+
+/// Where one input segment's values come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SegmentSource {
+    /// A resource's primary distribution: one arena entry per architecture.
+    Primary(Resource),
+    /// The ISB + three branch distributions: one entry for the whole store.
+    Stall,
+    /// The ROB curve, then (`latency`) the exec/issue/commit latency
+    /// distributions: one entry per memory configuration.
+    Memory { latency: bool },
+    /// The misprediction scalar, computed per architecture.
+    Mispredict,
+    /// The parameter tail, encoded per architecture.
+    Params,
+}
+
+/// One contiguous column range of the input vector and its source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InputSegment {
+    pub(crate) source: SegmentSource,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+}
+
+impl InputSegment {
+    /// The segment's columns.
+    pub(crate) fn cols(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// Most segments any variant has (`Full`: 11 + 4).
+pub(crate) const MAX_SEGMENTS: usize = Resource::ALL.len() + 4;
+
+/// [`FeatureLayout::segments`]: a fixed-capacity list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segments {
+    items: [InputSegment; MAX_SEGMENTS],
+    len: usize,
+}
+
+impl std::ops::Deref for Segments {
+    type Target = [InputSegment];
+    fn deref(&self) -> &[InputSegment] {
+        &self.items[..self.len]
     }
 }
 
@@ -294,6 +381,108 @@ struct AssemblySlot {
 #[derive(Debug, Default)]
 pub struct AssemblyScratch {
     slots: Vec<AssemblySlot>,
+}
+
+/// FxHash-style hasher for a [`Memo`]'s small integer keys, which SipHash
+/// would spend most of a lookup on. Colliding keys only share a memo slot
+/// (a recomputed lookup), so crafted keys cost nothing more.
+#[derive(Default)]
+struct FieldHasher(u64);
+
+impl std::hash::Hasher for FieldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Slots in a [`Memo`].
+const MEMO_SLOTS: usize = 64;
+
+/// One batch's nearest-grid results, so a lookup runs once per distinct
+/// value: a direct-mapped table whose slots are live only under the current
+/// batch's stamp (a value whose slot another value took is looked up again —
+/// the same answer, just recomputed).
+#[derive(Debug)]
+struct Memo<K> {
+    slots: Vec<(K, u32, u32)>,
+    stamp: u32,
+}
+
+impl<K> Default for Memo<K> {
+    fn default() -> Self {
+        Memo {
+            slots: Vec::new(),
+            stamp: 0,
+        }
+    }
+}
+
+impl<K: Copy + Default + Eq + std::hash::Hash> Memo<K> {
+    /// Starts a batch: every slot goes dead.
+    fn begin(&mut self) {
+        if self.slots.is_empty() {
+            self.slots.resize(MEMO_SLOTS, (K::default(), 0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            for slot in &mut self.slots {
+                slot.2 = 0;
+            }
+            self.stamp = 1;
+        }
+    }
+
+    fn get(&mut self, key: K, lookup: impl FnOnce() -> usize) -> usize {
+        let mut h = FieldHasher::default();
+        key.hash(&mut h);
+        let slot = &mut self.slots[(std::hash::Hasher::finish(&h) >> 58) as usize];
+        if slot.2 == self.stamp && slot.0 == key {
+            return slot.1 as usize;
+        }
+        let idx = lookup();
+        *slot = (key, idx as u32, self.stamp);
+        idx
+    }
+}
+
+/// One batch's store entries per input segment, resolved by
+/// [`FeatureStore::plan_entries`] for the factored predictor. Warm reuse
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct EntryPlan {
+    /// Distinct entry ids, segment after segment, each segment's in
+    /// first-appearance order.
+    pub(crate) entries: Vec<u32>,
+    /// Segment `j` owns `entries[starts[j]..starts[j + 1]]` (an empty range
+    /// for per-architecture segments).
+    pub(crate) starts: Vec<usize>,
+    /// `local[u * n_segments + j]`: architecture `u`'s entry within segment
+    /// `j`'s distinct list — or `u` itself for a per-architecture segment.
+    pub(crate) local: Vec<u32>,
+    /// Per architecture: (`d_idx`, `i_idx`).
+    mem: Vec<(usize, usize)>,
+    d_memo: Memo<DKey>,
+    i_memo: Memo<IKey>,
+    axis_memo: [Memo<u64>; Resource::ALL.len()],
+    /// Entry-id → distinct-slot table over every store segment's entries;
+    /// a slot is live in this batch only when its stamp equals `stamp`.
+    stamps: Vec<u32>,
+    slots: Vec<u32>,
+    stamp: u32,
 }
 
 impl FeatureStore {
@@ -832,28 +1021,191 @@ impl FeatureStore {
     /// indices, so assembly resolves `d_idx`/`i_idx` once per vector instead
     /// of once per resource.
     fn entry_idx_with(&self, res: Resource, arch: &MicroArch, di: usize, ii: usize) -> usize {
+        self.entry_at(res, di, ii, self.axis_idx(res, arch))
+    }
+
+    /// The value of `arch` on `res`'s own parameter axis, as a memo key.
+    fn axis_key(res: Resource, arch: &MicroArch) -> u64 {
+        let v = match res {
+            Resource::Rob => arch.rob_size,
+            Resource::LoadQueue => arch.lq_size,
+            Resource::StoreQueue => arch.sq_size,
+            Resource::AluWidth => arch.alu_width,
+            Resource::FpWidth => arch.fp_width,
+            Resource::LsWidth => arch.ls_width,
+            Resource::PipesLower | Resource::PipesUpper => {
+                return u64::from(arch.ls_pipes) << 32 | u64::from(arch.load_pipes)
+            }
+            Resource::IcacheFills => arch.max_icache_fills,
+            Resource::FetchBuffers => arch.fetch_buffers,
+            Resource::MemLatency => 0,
+        };
+        u64::from(v)
+    }
+
+    /// Nearest-grid position of `arch` on `res`'s own parameter axis (0 for
+    /// the memory-latency table, which has none).
+    fn axis_idx(&self, res: Resource, arch: &MicroArch) -> usize {
         match res {
-            Resource::Rob => di * self.rob_grid.len() + nearest_idx(&self.rob_grid, arch.rob_size),
-            Resource::LoadQueue => {
-                di * self.lq_grid.len() + nearest_idx(&self.lq_grid, arch.lq_size)
-            }
-            Resource::StoreQueue => {
-                di * self.sq_grid.len() + nearest_idx(&self.sq_grid, arch.sq_size)
-            }
+            Resource::Rob => nearest_idx(&self.rob_grid, arch.rob_size),
+            Resource::LoadQueue => nearest_idx(&self.lq_grid, arch.lq_size),
+            Resource::StoreQueue => nearest_idx(&self.sq_grid, arch.sq_size),
             Resource::AluWidth => nearest_idx(&self.alu_grid, arch.alu_width),
             Resource::FpWidth => nearest_idx(&self.fp_grid, arch.fp_width),
             Resource::LsWidth => nearest_idx(&self.ls_grid, arch.ls_width),
             Resource::PipesLower | Resource::PipesUpper => {
                 nearest_pair_idx(&self.pipes_grid, (arch.ls_pipes, arch.load_pipes))
             }
-            Resource::IcacheFills => {
-                ii * self.fills_grid.len() + nearest_idx(&self.fills_grid, arch.max_icache_fills)
-            }
-            Resource::FetchBuffers => {
-                ii * self.buffers_grid.len() + nearest_idx(&self.buffers_grid, arch.fetch_buffers)
-            }
+            Resource::IcacheFills => nearest_idx(&self.fills_grid, arch.max_icache_fills),
+            Resource::FetchBuffers => nearest_idx(&self.buffers_grid, arch.fetch_buffers),
+            Resource::MemLatency => 0,
+        }
+    }
+
+    /// The flat arena offset of axis position `axis` under memory indices
+    /// `di`/`ii`.
+    fn entry_at(&self, res: Resource, di: usize, ii: usize, axis: usize) -> usize {
+        match res {
+            Resource::Rob => di * self.rob_grid.len() + axis,
+            Resource::LoadQueue => di * self.lq_grid.len() + axis,
+            Resource::StoreQueue => di * self.sq_grid.len() + axis,
+            Resource::AluWidth
+            | Resource::FpWidth
+            | Resource::LsWidth
+            | Resource::PipesLower
+            | Resource::PipesUpper => axis,
+            Resource::IcacheFills => ii * self.fills_grid.len() + axis,
+            Resource::FetchBuffers => ii * self.buffers_grid.len() + axis,
             Resource::MemLatency => di,
         }
+    }
+
+    /// How many entries a store-backed segment can take (0 for a
+    /// per-architecture one).
+    fn segment_entries(&self, source: SegmentSource) -> usize {
+        match source {
+            SegmentSource::Primary(res) => self.enc_arena(res).entries(),
+            SegmentSource::Stall => 1,
+            SegmentSource::Memory { .. } => self.d_keys.len(),
+            SegmentSource::Mispredict | SegmentSource::Params => 0,
+        }
+    }
+
+    /// Writes the raw values of entry `entry` of a store-backed segment.
+    pub(crate) fn write_segment(&self, source: SegmentSource, entry: usize, out: &mut [f32]) {
+        let e = self.encoding.dim();
+        let s = ROB_SWEEP.len();
+        match source {
+            SegmentSource::Primary(res) => self.enc_arena(res).write_entry(entry, out),
+            SegmentSource::Stall => {
+                let (isb, branches) = out.split_at_mut(e);
+                self.isb_dist.write_entry(0, isb);
+                for (d, out) in self.branch_dists.iter().zip(branches.chunks_exact_mut(e)) {
+                    d.write_entry(0, out);
+                }
+            }
+            SegmentSource::Memory { latency } => {
+                let (curve, rest) = out.split_at_mut(s);
+                self.rob_curve.write_entry(entry, curve);
+                if latency {
+                    let (exec, rest) = rest.split_at_mut(e);
+                    self.exec_lat.write_entry(entry, exec);
+                    let (issue, commit) = rest.split_at_mut(s * e);
+                    for (j, (i, c)) in issue
+                        .chunks_exact_mut(e)
+                        .zip(commit.chunks_exact_mut(e))
+                        .enumerate()
+                    {
+                        self.issue_lat.write_entry(entry * s + j, i);
+                        self.commit_lat.write_entry(entry * s + j, c);
+                    }
+                }
+            }
+            SegmentSource::Mispredict | SegmentSource::Params => {
+                unreachable!("per-architecture segments have no store entry")
+            }
+        }
+    }
+
+    /// Resolves, for every architecture of a batch sharing this store, the
+    /// store entry behind each store-backed segment of `segments`, and
+    /// lists each segment's distinct entries once (see [`EntryPlan`]).
+    ///
+    /// Every nearest-grid lookup (`d_idx`, `i_idx` and each resource's
+    /// axis) runs once per distinct value in the batch (see [`Memo`]), with
+    /// the same tie-breaks as [`FeatureStore::features_into`]. Warm calls
+    /// allocate nothing.
+    pub(crate) fn plan_entries(
+        &self,
+        archs: &[MicroArch],
+        segments: &[InputSegment],
+        plan: &mut EntryPlan,
+    ) {
+        plan.d_memo.begin();
+        plan.i_memo.begin();
+        for memo in &mut plan.axis_memo {
+            memo.begin();
+        }
+        plan.mem.clear();
+        for arch in archs {
+            let di = plan
+                .d_memo
+                .get(arch.mem.data_key(), || self.d_idx(arch.mem));
+            let ii = plan
+                .i_memo
+                .get(arch.mem.inst_key(), || self.i_idx(arch.mem));
+            plan.mem.push((di, ii));
+        }
+        let table: usize = segments
+            .iter()
+            .map(|seg| self.segment_entries(seg.source))
+            .sum();
+        if plan.stamps.len() < table {
+            plan.stamps.resize(table, 0);
+            plan.slots.resize(table, 0);
+        }
+        // Stamp 0 is never live: a fresh table (or a wrapped stamp) starts
+        // with every slot dead.
+        plan.stamp = plan.stamp.wrapping_add(1);
+        if plan.stamp == 0 {
+            plan.stamps.fill(0);
+            plan.stamp = 1;
+        }
+        let n_seg = segments.len();
+        plan.local.clear();
+        plan.local.resize(archs.len() * n_seg, 0);
+        plan.entries.clear();
+        plan.starts.clear();
+        let mut base = 0;
+        for (j, seg) in segments.iter().enumerate() {
+            let first = plan.entries.len();
+            plan.starts.push(first);
+            for (u, arch) in archs.iter().enumerate() {
+                let (di, ii) = plan.mem[u];
+                let entry = match seg.source {
+                    SegmentSource::Primary(res) => {
+                        let axis = plan.axis_memo[res as usize]
+                            .get(Self::axis_key(res, arch), || self.axis_idx(res, arch));
+                        self.entry_at(res, di, ii, axis)
+                    }
+                    SegmentSource::Stall => 0,
+                    SegmentSource::Memory { .. } => di,
+                    SegmentSource::Mispredict | SegmentSource::Params => {
+                        plan.local[u * n_seg + j] = u as u32;
+                        continue;
+                    }
+                };
+                let t = base + entry;
+                if plan.stamps[t] != plan.stamp {
+                    plan.stamps[t] = plan.stamp;
+                    plan.slots[t] = (plan.entries.len() - first) as u32;
+                    plan.entries.push(entry as u32);
+                }
+                plan.local[u * n_seg + j] = plan.slots[t];
+            }
+            base += self.segment_entries(seg.source);
+        }
+        plan.starts.push(plan.entries.len());
     }
 
     fn raw_arena(&self, res: Resource) -> &RawArena {
@@ -911,8 +1263,8 @@ impl FeatureStore {
         out
     }
 
-    /// Assembles the ML input vector into `out` with zero heap allocations —
-    /// the hot path under `predict_batch*` and the serving workers.
+    /// Assembles the ML input vector into `out` with zero heap allocations
+    /// (what a single-architecture prediction reads).
     ///
     /// # Panics
     ///
@@ -936,48 +1288,32 @@ impl FeatureStore {
         di: usize,
         ii: usize,
     ) {
-        let e = self.encoding.dim();
-        let s_len = ROB_SWEEP.len();
         assert_eq!(
             out.len(),
             FeatureSchema::dim_for(self.encoding, variant),
             "output buffer does not match the schema dimension"
         );
-        let mut pos = 0usize;
-        for res in Resource::ALL {
-            let idx = self.entry_idx_with(res, arch, di, ii);
-            self.enc_arena(res).write_entry(idx, &mut out[pos..pos + e]);
-            pos += e;
+        let layout = FeatureLayout {
+            encoding: self.encoding,
+            variant,
+        };
+        for seg in layout.segments().iter() {
+            let out = &mut out[seg.cols()];
+            let entry = match seg.source {
+                SegmentSource::Primary(res) => self.entry_idx_with(res, arch, di, ii),
+                SegmentSource::Stall => 0,
+                SegmentSource::Memory { .. } => di,
+                SegmentSource::Mispredict => {
+                    out[0] = self.mispredict_feature(arch.predictor);
+                    continue;
+                }
+                SegmentSource::Params => {
+                    arch.encode_into(out);
+                    continue;
+                }
+            };
+            self.write_segment(seg.source, entry, out);
         }
-        out[pos] = self.mispredict_feature(arch.predictor);
-        pos += 1;
-        if variant != FeatureVariant::Base {
-            self.isb_dist.write_entry(0, &mut out[pos..pos + e]);
-            pos += e;
-            for d in &self.branch_dists {
-                d.write_entry(0, &mut out[pos..pos + e]);
-                pos += e;
-            }
-            self.rob_curve.write_entry(di, &mut out[pos..pos + s_len]);
-            pos += s_len;
-        }
-        if variant == FeatureVariant::Full {
-            self.exec_lat.write_entry(di, &mut out[pos..pos + e]);
-            pos += e;
-            for j in 0..s_len {
-                self.issue_lat
-                    .write_entry(di * s_len + j, &mut out[pos..pos + e]);
-                pos += e;
-            }
-            for j in 0..s_len {
-                self.commit_lat
-                    .write_entry(di * s_len + j, &mut out[pos..pos + e]);
-                pos += e;
-            }
-        }
-        arch.encode_into(&mut out[pos..]);
-        pos += MicroArch::ENCODED_DIM;
-        debug_assert_eq!(pos, out.len());
     }
 
     /// Computes the per-arch lookup indices for a batch sharing this store
@@ -1008,6 +1344,9 @@ impl FeatureStore {
 
     /// Batched [`FeatureStore::features_into`]: assembles one row per
     /// architecture into the row-major `out` buffer (`archs.len() × dim`).
+    /// The predictor no longer assembles whole rows for a batch (see
+    /// `FeatureStore::plan_entries`); this is the dense assembly the
+    /// benchmark ledger still times.
     ///
     /// Rows land at their original positions, but are *visited* in the
     /// arena-coherent order planned by `plan_assembly`, with each row's

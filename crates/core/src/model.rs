@@ -1,47 +1,83 @@
 //! The Concorde predictor: feature normalizer + MLP, with artifact save/load.
+//!
+//! Inference is *factored* at the first layer. The layer is linear, so its
+//! pre-activation is the bias plus one projection per input segment
+//! ([`FeatureLayout`]'s primary blocks, the store-constant stall group, the
+//! per-memory-configuration group, and the per-architecture misprediction
+//! and parameter dims). A design-space batch over one store repeats most
+//! store entries, so each distinct entry is standardized and projected
+//! once, and each row only sums its segments' projections (in column
+//! order) before the rest of the network runs.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use concorde_cyclesim::MicroArch;
 use concorde_ml::{kernel, Mlp, MlpScratch};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{AssemblyScratch, FeatureLayout, FeatureStore, FeatureVariant};
+use crate::features::{
+    EntryPlan, FeatureLayout, FeatureStore, FeatureVariant, SegmentSource, Segments, MAX_SEGMENTS,
+};
 
 /// Reusable buffers for the batched serving predictor
-/// ([`ConcordePredictor::predict_batch_into`]): the activation arena, the
-/// assembly plan, and the arch-dedup tables. One per worker; with a warm
-/// scratch the whole group evaluation allocates nothing.
+/// ([`ConcordePredictor::predict_batch_into`]): the arch-dedup table, the
+/// entry plan, the first-layer projections and the activation arena. One
+/// per worker; with a warm scratch the whole group evaluation allocates
+/// nothing.
 #[derive(Default)]
 pub struct PredictScratch {
-    /// MLP activation arena (f32 forward pass).
+    /// MLP activation arena (layers after the first).
     pub mlp: MlpScratch,
-    asm: AssemblyScratch,
-    uniq: Vec<MicroArch>,
-    map: Vec<u32>,
-    xs: Vec<f32>,
-    raw: Vec<f32>,
+    dedup: ArchDedup,
+    plan: EntryPlan,
+    layer0: Layer0Scratch,
     uniq_out: Vec<f64>,
 }
 
-/// Deduplicates `archs` by linear scan (`MicroArch` is `PartialEq`-only:
-/// `PredictorKind::Simple` carries a float), filling `uniq` with the
-/// distinct architectures in first-appearance order and `map` with each
-/// row's index into `uniq`.
-fn dedup_archs(archs: &[MicroArch], uniq: &mut Vec<MicroArch>, map: &mut Vec<u32>) {
-    uniq.clear();
-    map.clear();
-    map.reserve(archs.len());
-    for arch in archs {
-        let at = match uniq.iter().position(|u| u == arch) {
-            Some(i) => i,
-            None => {
-                uniq.push(*arch);
-                uniq.len() - 1
+/// Linear-time batch dedup keyed on every field of the architecture (all
+/// integers, so equal keys are bit-identical architectures). Keys come off
+/// the wire, so the map keeps std's keyed hasher.
+#[derive(Default)]
+struct ArchDedup {
+    index: HashMap<MicroArch, u32>,
+    /// Distinct architectures in first-appearance order.
+    uniq: Vec<MicroArch>,
+    /// Each row's index into `uniq`.
+    map: Vec<u32>,
+}
+
+impl ArchDedup {
+    fn run(&mut self, archs: &[MicroArch]) {
+        self.index.clear();
+        self.uniq.clear();
+        self.map.clear();
+        for arch in archs {
+            let next = self.uniq.len() as u32;
+            let at = *self.index.entry(*arch).or_insert(next);
+            if at == next {
+                self.uniq.push(*arch);
             }
-        };
-        map.push(at as u32);
+            self.map.push(at);
+        }
     }
+}
+
+/// The factored first layer's buffers.
+#[derive(Default)]
+struct Layer0Scratch {
+    /// One segment's raw, then standardized, input rows.
+    xs: Vec<f32>,
+    /// Projected rows (first-layer width), segment after segment.
+    proj: Vec<f32>,
+    /// Segment `j`'s projections start at row `bases[j]` of `proj`.
+    bases: [usize; MAX_SEGMENTS],
+    /// One assembled raw input row (single-row predictions).
+    row: Vec<f32>,
+    /// First-layer activations, one row per prediction.
+    hidden: Vec<f32>,
+    /// Raw network outputs.
+    raw: Vec<f32>,
 }
 
 /// Per-dimension standardization fitted on the training set.
@@ -120,6 +156,13 @@ impl Normalizer {
     pub fn apply_batch(&self, xs: &mut [f32]) {
         kernel::standardize_rows(xs, &self.mean, &self.std, self.log1p);
     }
+
+    /// Standardizes rows that hold only the feature columns `cols` —
+    /// bitwise equal to those columns of [`Normalizer::apply_batch`].
+    fn apply_cols(&self, cols: std::ops::Range<usize>, xs: &mut [f32]) {
+        let (mean, std) = (&self.mean[cols.clone()], &self.std[cols]);
+        kernel::standardize_rows(xs, mean, std, self.log1p);
+    }
 }
 
 /// A trained Concorde model: layout, normalizer, and MLP.
@@ -144,10 +187,30 @@ pub struct ConcordePredictor {
 
 impl ConcordePredictor {
     /// Predicts CPI from an already-assembled raw feature vector.
+    ///
+    /// Bitwise equal to [`ConcordePredictor::predict`] and to
+    /// [`ConcordePredictor::predict_batch_into`] for the architecture the
+    /// vector was assembled for: every path standardizes and projects the
+    /// same segment values with the same kernels.
     pub fn predict_features(&self, features: &[f32]) -> f64 {
-        let mut x = features.to_vec();
-        self.normalizer.apply(&mut x);
-        self.postprocess(f64::from(self.mlp.predict(&x)))
+        assert_eq!(
+            features.len(),
+            self.layout.dim(),
+            "feature dimension mismatch"
+        );
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<PredictScratch> =
+                std::cell::RefCell::new(PredictScratch::default());
+        }
+        SCRATCH.with(|s| {
+            let PredictScratch {
+                mlp, plan, layer0, ..
+            } = &mut *s.borrow_mut();
+            layer0.row.clear();
+            layer0.row.extend_from_slice(features);
+            self.forward_row(&mut plan.local, layer0, mlp);
+            self.postprocess(f64::from(layer0.raw[0]))
+        })
     }
 
     /// Predicts CPI for `arch` using a precomputed [`FeatureStore`].
@@ -156,7 +219,7 @@ impl ConcordePredictor {
         self.predict_features(&f)
     }
 
-    /// Maps one raw MLP output to CPI (shared by the scalar and batch paths).
+    /// Maps one raw MLP output to CPI.
     #[inline]
     fn postprocess(&self, o: f64) -> f64 {
         let y = if self.log_output {
@@ -170,66 +233,35 @@ impl ConcordePredictor {
         }
     }
 
-    /// Batched [`ConcordePredictor::predict_features`] over a row-major
-    /// buffer of `n × dim` raw features, normalizing in place.
-    ///
-    /// `scratch` is the reusable activation arena; with a warm scratch the
-    /// only allocation is the returned vector. Outputs are bitwise identical
-    /// to calling `predict_features` per row.
-    pub fn predict_features_batch(
-        &self,
-        features: &mut [f32],
-        scratch: &mut MlpScratch,
-    ) -> Vec<f64> {
-        self.normalizer.apply_batch(features);
-        let n = features.len() / self.normalizer.mean.len().max(1);
-        let mut raw = vec![0.0f32; n];
-        self.mlp.predict_batch_into(features, &mut raw, scratch);
-        raw.into_iter()
-            .map(|o| self.postprocess(f64::from(o)))
-            .collect()
-    }
-
-    /// Predicts CPI for every architecture in `archs` against one store.
-    ///
-    /// Feature assembly happens per architecture (quantized lookups), then a
-    /// single batched MLP forward pass covers the whole slice. Results are
-    /// bitwise identical to mapping [`ConcordePredictor::predict`] over
-    /// `archs`.
+    /// Predicts CPI for every architecture in `archs` against one store —
+    /// [`ConcordePredictor::predict_batch_into`] with a fresh scratch.
+    /// Results are bitwise identical to mapping
+    /// [`ConcordePredictor::predict`] over `archs`.
     pub fn predict_batch(&self, store: &FeatureStore, archs: &[MicroArch]) -> Vec<f64> {
-        let mut scratch = MlpScratch::default();
-        self.predict_batch_with(store, archs, &mut scratch)
+        let mut out = Vec::with_capacity(archs.len());
+        self.predict_batch_into(store, archs, &mut PredictScratch::default(), &mut out);
+        out
     }
 
-    /// [`ConcordePredictor::predict_batch`] with a caller-owned scratch arena
-    /// (what serving workers use to keep the hot loop allocation-free).
-    pub fn predict_batch_with(
-        &self,
-        store: &FeatureStore,
-        archs: &[MicroArch],
-        scratch: &mut MlpScratch,
-    ) -> Vec<f64> {
-        let dim = self.layout.dim();
-        // One buffer for the whole batch; each row is assembled in place by
-        // the zero-allocation `features_into` path.
-        let mut xs = vec![0.0f32; archs.len() * dim];
-        for (arch, row) in archs.iter().zip(xs.chunks_exact_mut(dim)) {
-            store.features_into(arch, self.layout.variant, row);
-        }
-        self.predict_features_batch(&mut xs, scratch)
-    }
-
-    /// Zero-allocation batched f32 prediction: the serving workers' group
+    /// Zero-allocation batched prediction: the serving workers' group
     /// evaluation path.
     ///
-    /// Distinct architectures are deduplicated (linear scan — batches repeat
-    /// sweep points heavily), features are assembled once per distinct arch
-    /// in arena-coherent order ([`FeatureStore::features_into_many`]), one
-    /// batched forward pass covers the distinct rows, and results scatter
-    /// back to every requesting row. Per-row independence of the batch
-    /// kernel (pinned by the batch-vs-single property tests) makes the
-    /// dedup bitwise-invisible: `out` equals
-    /// [`ConcordePredictor::predict_batch_with`] exactly.
+    /// 1. Distinct architectures are found in linear time.
+    /// 2. Each one's store entries are resolved once per segment
+    ///    ([`FeatureStore::plan_entries`]), and each segment's distinct
+    ///    entries are listed once.
+    /// 3. Every distinct entry is standardized and projected through its
+    ///    columns of the first layer once; the per-architecture dims
+    ///    (misprediction rate, parameters) once per distinct architecture.
+    /// 4. Each distinct architecture's first-layer activation is the bias
+    ///    plus its segments' projections in column order, then ReLU, and one
+    ///    batched pass runs the remaining layers; results scatter back to
+    ///    every requesting row.
+    ///
+    /// A row's projections depend only on its own values, so `out` equals
+    /// [`ConcordePredictor::predict`] per row bitwise, in any batch order
+    /// and with any repeats. Against the dense first layer (one chain over
+    /// the whole standardized row) it differs by float reassociation only.
     ///
     /// `out` is cleared and refilled; with warm buffers nothing allocates.
     pub fn predict_batch_into(
@@ -239,27 +271,137 @@ impl ConcordePredictor {
         scratch: &mut PredictScratch,
         out: &mut Vec<f64>,
     ) {
-        dedup_archs(archs, &mut scratch.uniq, &mut scratch.map);
-        let dim = self.layout.dim();
-        scratch.xs.clear();
-        scratch.xs.resize(scratch.uniq.len() * dim, 0.0);
-        store.features_into_many(
-            &scratch.uniq,
-            self.layout.variant,
-            &mut scratch.xs,
-            &mut scratch.asm,
-        );
-        self.normalizer.apply_batch(&mut scratch.xs);
-        scratch.raw.clear();
-        scratch.raw.resize(scratch.uniq.len(), 0.0);
-        self.mlp
-            .predict_batch_into(&scratch.xs, &mut scratch.raw, &mut scratch.mlp);
-        scratch.uniq_out.clear();
-        scratch
-            .uniq_out
-            .extend(scratch.raw.iter().map(|&o| self.postprocess(f64::from(o))));
+        let PredictScratch {
+            mlp,
+            dedup,
+            plan,
+            layer0,
+            uniq_out,
+        } = scratch;
+        dedup.run(archs);
+        let uniq = &dedup.uniq;
+        if let [arch] = uniq.as_slice() {
+            // Nothing to share: assemble the one row and skip the plan.
+            layer0.row.resize(self.layout.dim(), 0.0);
+            store.features_into(arch, self.layout.variant, &mut layer0.row);
+            self.forward_row(&mut plan.local, layer0, mlp);
+            let y = self.postprocess(f64::from(layer0.raw[0]));
+            out.clear();
+            out.resize(archs.len(), y);
+            return;
+        }
+        let segments = self.layout.segments();
+        store.plan_entries(uniq, &segments, plan);
+        self.project_segments(&segments, layer0, |j, xs| {
+            let seg = segments[j];
+            match seg.source {
+                SegmentSource::Mispredict => {
+                    xs.extend(uniq.iter().map(|a| store.mispredict_feature(a.predictor)));
+                }
+                SegmentSource::Params => {
+                    xs.resize(uniq.len() * seg.len, 0.0);
+                    for (a, row) in uniq.iter().zip(xs.chunks_exact_mut(seg.len)) {
+                        a.encode_into(row);
+                    }
+                }
+                source => {
+                    let entries = &plan.entries[plan.starts[j]..plan.starts[j + 1]];
+                    xs.resize(entries.len() * seg.len, 0.0);
+                    for (&e, row) in entries.iter().zip(xs.chunks_exact_mut(seg.len)) {
+                        store.write_segment(source, e as usize, row);
+                    }
+                }
+            }
+        });
+        self.finish(uniq.len(), &segments, &plan.local, layer0, mlp);
+        uniq_out.clear();
+        uniq_out.extend(layer0.raw.iter().map(|&o| self.postprocess(f64::from(o))));
         out.clear();
-        out.extend(scratch.map.iter().map(|&u| scratch.uniq_out[u as usize]));
+        out.extend(dedup.map.iter().map(|&u| uniq_out[u as usize]));
+    }
+
+    /// The factored first layer over the one raw row in `l0.row`:
+    /// standardized in one pass, each segment projected straight from it
+    /// (what [`ConcordePredictor::project_segments`] computes segment by
+    /// segment, bit for bit), then the rest of the network into `l0.raw[0]`.
+    fn forward_row(&self, local: &mut Vec<u32>, l0: &mut Layer0Scratch, mlp: &mut MlpScratch) {
+        let segments = self.layout.segments();
+        let h = self.mlp.layers()[0].out_dim;
+        self.normalizer.apply(&mut l0.row);
+        l0.proj.clear();
+        l0.proj.resize(segments.len() * h, 0.0);
+        for (j, (seg, proj)) in segments.iter().zip(l0.proj.chunks_exact_mut(h)).enumerate() {
+            l0.bases[j] = j;
+            self.mlp
+                .project_cols(seg.cols(), &l0.row[seg.start..], seg.len, proj);
+        }
+        local.clear();
+        local.resize(segments.len(), 0);
+        self.finish(1, &segments, local, l0, mlp);
+    }
+
+    /// Projects every segment's rows through its first-layer columns.
+    /// `fill(j, xs)` writes segment `j`'s raw rows into the empty `xs`;
+    /// they are standardized in place and projected into `l0.proj` from row
+    /// `l0.bases[j]` on.
+    fn project_segments(
+        &self,
+        segments: &Segments,
+        l0: &mut Layer0Scratch,
+        mut fill: impl FnMut(usize, &mut Vec<f32>),
+    ) {
+        let h = self.mlp.layers()[0].out_dim;
+        l0.proj.clear();
+        for (j, seg) in segments.iter().enumerate() {
+            l0.xs.clear();
+            fill(j, &mut l0.xs);
+            let rows = l0.xs.len() / seg.len;
+            self.normalizer.apply_cols(seg.cols(), &mut l0.xs);
+            let at = l0.proj.len();
+            l0.bases[j] = at / h;
+            l0.proj.resize(at + rows * h, 0.0);
+            self.mlp
+                .project_cols(seg.cols(), &l0.xs, seg.len, &mut l0.proj[at..]);
+        }
+    }
+
+    /// Sums each of the `n` rows' segment projections onto the first-layer
+    /// bias in column order (`local[u * segments + j]` picks row `u`'s
+    /// projection within segment `j`), applies the ReLU, and runs the
+    /// remaining layers into `l0.raw`.
+    fn finish(
+        &self,
+        n: usize,
+        segments: &Segments,
+        local: &[u32],
+        l0: &mut Layer0Scratch,
+        mlp: &mut MlpScratch,
+    ) {
+        let first = &self.mlp.layers()[0];
+        let h = first.out_dim;
+        let relu = self.mlp.layers().len() > 1;
+        let n_seg = segments.len();
+        l0.hidden.clear();
+        l0.hidden.resize(n * h, 0.0);
+        for (u, acc) in l0.hidden.chunks_exact_mut(h).enumerate() {
+            acc.copy_from_slice(&first.b);
+            for (j, &at) in local[u * n_seg..(u + 1) * n_seg].iter().enumerate() {
+                let row = (l0.bases[j] + at as usize) * h;
+                for (a, &p) in acc.iter_mut().zip(&l0.proj[row..row + h]) {
+                    *a += p;
+                }
+            }
+            if relu {
+                for a in acc.iter_mut() {
+                    // NaN and ±0 give +0, as the tile's `max(acc, 0)` does.
+                    *a = if *a > 0.0 { *a } else { 0.0 };
+                }
+            }
+        }
+        l0.raw.clear();
+        l0.raw.resize(n, 0.0);
+        self.mlp
+            .predict_from_hidden_into(&l0.hidden, &mut l0.raw, mlp);
     }
 
     /// Feature variant this model consumes.

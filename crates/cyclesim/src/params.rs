@@ -7,7 +7,7 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
 /// A full microarchitecture specification: every Table 1 parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MicroArch {
     /// Reorder buffer size (1..=1024).
     pub rob_size: u32,

@@ -249,11 +249,73 @@ pub(crate) fn gemv_forward(
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => unsafe {
             // SAFETY: NEON is mandatory on aarch64; bounds checked above.
-            neon::gemv_neon(w, wt, b, in_dim, out_dim, x, y, relu);
+            neon::gemv_neon(w, wt, Some(b), in_dim, 0, out_dim, x, y, relu);
         },
         _ => unreachable!("the scalar GEMV is evaluated in mlp.rs, not dispatched here"),
     }
 }
+
+/// [`gemv_forward`] over the input columns `cols` only, from a zero
+/// accumulator and with no activation — one input segment's share of a
+/// layer's pre-activation — for each of `n = ys.len() / out_dim` rows:
+///
+/// ```text
+/// ys[i·out_dim + o] = Σ_{k ∈ cols} w[o·in_dim + k] · xs[i·stride + k − cols.start]
+/// ```
+///
+/// `w` and `wt` are the whole layer's row-major and transposed weights; the
+/// segment's rows of `wt` are contiguous, so nothing is copied. Each output
+/// runs the GEMV chain (`acc = 0`, then `acc = fma(w, x, acc)` for `k` left
+/// to right), so a row's projection is bitwise the same whichever batch
+/// asks for it.
+///
+/// # Panics
+///
+/// Panics on shape mismatches. Calling this with [`KernelKind::Scalar`] is
+/// a logic error, as for [`gemv_forward`].
+#[allow(clippy::too_many_arguments)] // the layer's parts, a column range and the rows
+pub(crate) fn gemv_project(
+    kind: KernelKind,
+    w: &[f32],
+    wt: &[f32],
+    in_dim: usize,
+    out_dim: usize,
+    cols: std::ops::Range<usize>,
+    xs: &[f32],
+    stride: usize,
+    ys: &mut [f32],
+) {
+    let grouped = gemv_grouped(out_dim);
+    let len = cols.len();
+    assert_eq!(w.len(), in_dim * out_dim);
+    assert_eq!(wt.len(), in_dim * grouped);
+    assert!(cols.start <= cols.end && cols.end <= in_dim);
+    assert!(out_dim > 0 && ys.len().is_multiple_of(out_dim));
+    let n = ys.len() / out_dim;
+    assert!(n == 0 || (n - 1) * stride + len <= xs.len());
+    let wt = &wt[cols.start * grouped..cols.end * grouped];
+    match kind {
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe {
+            // SAFETY: dispatch only selects Avx2Fma after runtime detection
+            // of avx2+fma; slice bounds are checked above.
+            x86::gemv_rows_avx2(w, wt, in_dim, cols.start, out_dim, xs, stride, len, ys);
+        },
+        #[cfg(target_arch = "aarch64")]
+        KernelKind::Neon => {
+            for (i, y) in ys.chunks_exact_mut(out_dim).enumerate() {
+                let x = &xs[i * stride..i * stride + len];
+                // SAFETY: NEON is mandatory on aarch64; bounds checked above.
+                unsafe { neon::gemv_neon(w, wt, None, in_dim, cols.start, out_dim, x, y, false) };
+            }
+        }
+        _ => unreachable!("the scalar projection is evaluated in mlp.rs, not dispatched here"),
+    }
+}
+
+/// Eight zero biases: what a bias-free GEMV loads in place of `b[o..o + 8]`.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+static ZERO_BIAS: [f32; 8] = [0.0; 8];
 
 /// The per-output chain of [`gemv_forward`] for the outputs past the last
 /// full group of 8: `acc = b[o]`, then `acc = fma(w, x, acc)` left to right.
@@ -473,9 +535,7 @@ mod x86 {
         }
     }
 
-    /// AVX2+FMA per-sample GEMV ([`super::gemv_forward`]). Four groups of 8
-    /// outputs are in flight at a time, so four independent FMA chains hide
-    /// the FMA latency; each lane is one output's left-to-right chain.
+    /// AVX2+FMA per-sample GEMV ([`super::gemv_forward`]).
     ///
     /// # Safety
     ///
@@ -493,16 +553,129 @@ mod x86 {
         y: &mut [f32],
         relu: bool,
     ) {
+        gemv_body(
+            w,
+            wt,
+            b.as_ptr(),
+            1,
+            in_dim,
+            0,
+            out_dim,
+            x,
+            y.as_mut_ptr(),
+            relu,
+        );
+    }
+
+    /// [`super::gemv_project`]: each row's bias-free chain over a column
+    /// range. The range is walked in blocks of `wt` rows that fit in L1,
+    /// every row finishing a block before the next block starts, so a long
+    /// segment streams its weights from L2 once per call rather than once
+    /// per row. A block resumes each output's chain from the partial sum it
+    /// stored, so the arithmetic is exactly the unblocked chain.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA, and the slices must have the
+    /// shapes [`super::gemv_project`] asserts (`wt` holds just the range's
+    /// transposed rows).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemv_rows_avx2(
+        w: &[f32],
+        wt: &[f32],
+        in_dim: usize,
+        c0: usize,
+        out_dim: usize,
+        xs: &[f32],
+        stride: usize,
+        len: usize,
+        ys: &mut [f32],
+    ) {
         let grouped = super::gemv_grouped(out_dim);
-        let (tp, xp, bp, yp) = (wt.as_ptr(), x.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+        let block = (4096 / grouped.max(1)).max(8);
+        let n = ys.len() / out_dim;
+        let yp = ys.as_mut_ptr();
+        let mut k0 = 0;
+        loop {
+            let k1 = (k0 + block).min(len);
+            let wt = &wt[k0 * grouped..k1 * grouped];
+            for i in 0..n {
+                let y = yp.add(i * out_dim);
+                let (bp, bstep) = if k0 == 0 {
+                    (super::ZERO_BIAS.as_ptr(), 0)
+                } else {
+                    (y.cast_const(), 1)
+                };
+                let x = &xs[i * stride + k0..i * stride + k1];
+                gemv_body(w, wt, bp, bstep, in_dim, c0 + k0, out_dim, x, y, false);
+            }
+            k0 = k1;
+            if k0 >= len {
+                break;
+            }
+        }
+    }
+
+    /// The GEMV over input columns `c0..c0 + x.len()` of a layer whose rows
+    /// are `in_dim` long; `wt` holds just those columns' transposed rows.
+    /// Output `o` starts its chain from `*bp.add(o * bstep)` (a bias, zeros
+    /// with `bstep = 0`, or — aliasing `yp` — the chain's partial sum) and
+    /// is written to `*yp.add(o)`; each output group is loaded before it is
+    /// stored. Eight groups of 8 outputs run per pass where the layer is
+    /// that wide (a short segment's chain is only a few FMAs long, so fewer
+    /// chains would wait on FMA latency), then four, then one; each lane is
+    /// one output's left-to-right chain.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA; `bp` and `yp` valid for `out_dim` outputs; `wt` at
+    /// least `x.len() × gemv_grouped(out_dim)` long; `w` row-major
+    /// `out_dim × in_dim` with `c0 + x.len() <= in_dim`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    unsafe fn gemv_body(
+        w: &[f32],
+        wt: &[f32],
+        bp: *const f32,
+        bstep: usize,
+        in_dim: usize,
+        c0: usize,
+        out_dim: usize,
+        x: &[f32],
+        yp: *mut f32,
+        relu: bool,
+    ) {
+        let grouped = super::gemv_grouped(out_dim);
+        let len = x.len();
+        let (tp, xp) = (wt.as_ptr(), x.as_ptr());
         let zero = _mm256_setzero_ps();
         let mut o = 0usize;
+        while o + 64 <= grouped {
+            let mut a = [zero; 8];
+            for (g, a) in a.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(bp.add((o + 8 * g) * bstep));
+            }
+            for k in 0..len {
+                let xk = _mm256_set1_ps(*xp.add(k));
+                let row = tp.add(k * grouped + o);
+                for (g, a) in a.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(8 * g)), xk, *a);
+                }
+            }
+            for (g, a) in a.iter().enumerate() {
+                let v = if relu { _mm256_max_ps(*a, zero) } else { *a };
+                _mm256_storeu_ps(yp.add(o + 8 * g), v);
+            }
+            o += 64;
+        }
         while o + 32 <= grouped {
-            let mut a0 = _mm256_loadu_ps(bp.add(o));
-            let mut a1 = _mm256_loadu_ps(bp.add(o + 8));
-            let mut a2 = _mm256_loadu_ps(bp.add(o + 16));
-            let mut a3 = _mm256_loadu_ps(bp.add(o + 24));
-            for k in 0..in_dim {
+            let mut a0 = _mm256_loadu_ps(bp.add(o * bstep));
+            let mut a1 = _mm256_loadu_ps(bp.add((o + 8) * bstep));
+            let mut a2 = _mm256_loadu_ps(bp.add((o + 16) * bstep));
+            let mut a3 = _mm256_loadu_ps(bp.add((o + 24) * bstep));
+            for k in 0..len {
                 let xk = _mm256_set1_ps(*xp.add(k));
                 let row = tp.add(k * grouped + o);
                 a0 = _mm256_fmadd_ps(_mm256_loadu_ps(row), xk, a0);
@@ -523,8 +696,8 @@ mod x86 {
             o += 32;
         }
         while o < grouped {
-            let mut acc = _mm256_loadu_ps(bp.add(o));
-            for k in 0..in_dim {
+            let mut acc = _mm256_loadu_ps(bp.add(o * bstep));
+            for k in 0..len {
                 let row = tp.add(k * grouped + o);
                 acc = _mm256_fmadd_ps(_mm256_loadu_ps(row), _mm256_set1_ps(*xp.add(k)), acc);
             }
@@ -535,9 +708,10 @@ mod x86 {
             o += 8;
         }
         for o in grouped..out_dim {
-            let acc = super::fused_dot(&w[o * in_dim..(o + 1) * in_dim], x, b[o]);
+            let row = &w[o * in_dim + c0..o * in_dim + c0 + len];
+            let acc = super::fused_dot(row, x, *bp.add(o * bstep));
             // `_mm256_max_ps(acc, 0)` lane for lane: NaN and ±0 give +0.
-            y[o] = if !relu || acc > 0.0 { acc } else { 0.0 };
+            *yp.add(o) = if !relu || acc > 0.0 { acc } else { 0.0 };
         }
     }
 }
@@ -635,34 +809,44 @@ mod neon {
         }
     }
 
-    /// NEON per-sample GEMV ([`super::gemv_forward`]): two groups of 8
-    /// outputs (four `float32x4` accumulators, four FMA chains) in flight;
-    /// each lane is one output's left-to-right chain.
+    /// NEON per-sample GEMV ([`super::gemv_forward`]) over the input
+    /// columns `c0..c0 + x.len()`, as [`super::gemv_project`] needs (see the
+    /// AVX2 kernel): two groups of 8 outputs (four `float32x4` accumulators,
+    /// four FMA chains) in flight; each lane is one output's left-to-right
+    /// chain.
     ///
     /// # Safety
     ///
-    /// The slices must have the shapes [`super::gemv_forward`] asserts.
+    /// The slices must have the shapes [`super::gemv_forward`] /
+    /// [`super::gemv_project`] assert.
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn gemv_neon(
         w: &[f32],
         wt: &[f32],
-        b: &[f32],
+        b: Option<&[f32]>,
         in_dim: usize,
+        c0: usize,
         out_dim: usize,
         x: &[f32],
         y: &mut [f32],
         relu: bool,
     ) {
         let grouped = super::gemv_grouped(out_dim);
-        let (tp, xp, bp, yp) = (wt.as_ptr(), x.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+        let len = x.len();
+        // Without a bias every group loads the same eight zeros.
+        let (bp, bstep) = match b {
+            Some(b) => (b.as_ptr(), 1),
+            None => (super::ZERO_BIAS.as_ptr(), 0),
+        };
+        let (tp, xp, yp) = (wt.as_ptr(), x.as_ptr(), y.as_mut_ptr());
         let z = vdupq_n_f32(0.0);
         let mut o = 0usize;
         while o + 16 <= grouped {
-            let mut a0 = vld1q_f32(bp.add(o));
-            let mut a1 = vld1q_f32(bp.add(o + 4));
-            let mut a2 = vld1q_f32(bp.add(o + 8));
-            let mut a3 = vld1q_f32(bp.add(o + 12));
-            for k in 0..in_dim {
+            let mut a0 = vld1q_f32(bp.add(o * bstep));
+            let mut a1 = vld1q_f32(bp.add((o + 4) * bstep));
+            let mut a2 = vld1q_f32(bp.add((o + 8) * bstep));
+            let mut a3 = vld1q_f32(bp.add((o + 12) * bstep));
+            for k in 0..len {
                 let xk = *xp.add(k);
                 let row = tp.add(k * grouped + o);
                 a0 = vfmaq_n_f32(a0, vld1q_f32(row), xk);
@@ -683,9 +867,9 @@ mod neon {
             o += 16;
         }
         while o < grouped {
-            let mut lo = vld1q_f32(bp.add(o));
-            let mut hi = vld1q_f32(bp.add(o + 4));
-            for k in 0..in_dim {
+            let mut lo = vld1q_f32(bp.add(o * bstep));
+            let mut hi = vld1q_f32(bp.add((o + 4) * bstep));
+            for k in 0..len {
                 let xk = *xp.add(k);
                 let row = tp.add(k * grouped + o);
                 lo = vfmaq_n_f32(lo, vld1q_f32(row), xk);
@@ -700,7 +884,8 @@ mod neon {
             o += 8;
         }
         for o in grouped..out_dim {
-            let mut acc = super::fused_dot(&w[o * in_dim..(o + 1) * in_dim], x, b[o]);
+            let row = &w[o * in_dim + c0..o * in_dim + c0 + len];
+            let mut acc = super::fused_dot(row, x, b.map_or(0.0, |b| b[o]));
             if relu {
                 // The tile's own `vmaxq_f32`, so NaN and ±0 round-trip alike.
                 let mut tmp = [0.0f32; 4];

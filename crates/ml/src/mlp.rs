@@ -263,15 +263,6 @@ impl Mlp {
         })
     }
 
-    /// Widest layer output dimension (scratch sizing for batched inference).
-    pub fn max_dim(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.out_dim.max(l.in_dim))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Forward pass over a row-major batch `xs` (`n × input_dim`), writing one
     /// scalar prediction per row into `out`.
     ///
@@ -305,15 +296,103 @@ impl Mlp {
     ///
     /// Panics if `xs` is not a whole number of rows or `out` is not `n` long.
     pub fn predict_batch_into(&self, xs: &[f32], out: &mut [f32], scratch: &mut MlpScratch) {
-        let dim = self.input_dim();
+        self.forward_from(0, xs, out, scratch);
+    }
+
+    /// [`Mlp::predict_batch_into`] from the second layer on: `hs` holds one
+    /// row of first-layer activations per sample (`n × layers()[0].out_dim`,
+    /// bias and ReLU already applied), and layers `1..` run exactly as in
+    /// the full pass. With a single layer, `out` is the rows' first
+    /// element. This is the back half of a factored first layer (see
+    /// [`Mlp::project_cols`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hs` is not a whole number of rows or `out` is not `n` long.
+    pub fn predict_from_hidden_into(&self, hs: &[f32], out: &mut [f32], scratch: &mut MlpScratch) {
+        self.forward_from(1, hs, out, scratch);
+    }
+
+    /// First-layer projection of one input segment, for each of `n =
+    /// out.len() / layers()[0].out_dim` rows:
+    ///
+    /// ```text
+    /// out[i·h + o] = Σ_{k ∈ cols} W0[o][k] · xs[i·stride + k − cols.start]
+    /// ```
+    ///
+    /// accumulated from zero with no bias and no activation, so the first
+    /// layer's pre-activation is `b0` plus the projections of segments that
+    /// tile the input. Runs the per-sample GEMV chain over the cached
+    /// transposed weights (no weights are copied) or, under the scalar
+    /// kernel, `acc += w·x` left to right; a row's result depends only on
+    /// its own values, never on the other rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` leaves the input, `out` is not whole rows, or `xs`
+    /// is too short for `n` rows at `stride`.
+    pub fn project_cols(
+        &self,
+        cols: std::ops::Range<usize>,
+        xs: &[f32],
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        let layer = &self.layers[0];
+        let (in_dim, h, len) = (layer.in_dim, layer.out_dim, cols.len());
+        assert!(cols.end <= in_dim, "columns past the input dimension");
+        assert_eq!(out.len() % h, 0, "out is not a whole number of rows");
+        let n = out.len() / h;
+        assert!(
+            n == 0 || (n - 1) * stride + len <= xs.len(),
+            "xs too short for {n} rows"
+        );
+        let kind = kernel::active_kernel();
+        if kind != KernelKind::Scalar {
+            let wt = &self.transposed()[0];
+            kernel::gemv_project(kind, &layer.w, wt, in_dim, h, cols, xs, stride, out);
+            return;
+        }
+        for (i, y) in out.chunks_exact_mut(h).enumerate() {
+            let x = &xs[i * stride..i * stride + len];
+            for (o, y) in y.iter_mut().enumerate() {
+                let row = &layer.w[o * in_dim + cols.start..o * in_dim + cols.end];
+                let mut acc = 0.0f32;
+                for (wv, xv) in row.iter().zip(x) {
+                    acc += wv * xv;
+                }
+                *y = acc;
+            }
+        }
+    }
+
+    /// The batched forward pass from layer `first` on; `xs` rows are that
+    /// layer's inputs.
+    fn forward_from(&self, first: usize, xs: &[f32], out: &mut [f32], scratch: &mut MlpScratch) {
+        let dim = match self.layers.get(first) {
+            Some(layer) => layer.in_dim,
+            None => self.layers[first - 1].out_dim,
+        };
         assert_eq!(xs.len() % dim.max(1), 0, "xs is not a whole number of rows");
         let n = xs.len() / dim;
         assert_eq!(out.len(), n, "output length mismatch");
         if n == 0 {
             return;
         }
+        if first == self.layers.len() {
+            for (o, row) in out.iter_mut().zip(xs.chunks_exact(dim)) {
+                *o = row[0];
+            }
+            return;
+        }
         let kind = kernel::active_kernel();
-        let width = self.max_dim();
+        // Sized for the layers that run: a pass from the hidden layer never
+        // needs input-width buffers.
+        let width = self.layers[first..]
+            .iter()
+            .map(|l| l.out_dim.max(l.in_dim))
+            .max()
+            .unwrap_or(0);
         scratch.reserve(n, width);
         let last = self.layers.len() - 1;
         let full = n - n % Self::LANES;
@@ -324,7 +403,7 @@ impl Mlp {
         scratch.split().0[..n * dim].copy_from_slice(xs);
         let mut cur_w = dim;
         let mut cur_buf = 0usize;
-        for (li, layer) in self.layers.iter().enumerate() {
+        for (li, layer) in self.layers.iter().enumerate().skip(first) {
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
             let relu = li != last;
             let (a, b, tile) = scratch.parts();
@@ -603,6 +682,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn column_projections_tile_the_first_layer() {
+        // 70 → 64 → 1 (the 64-output GEMV pass) and 70 → 12 → 1 (8 grouped
+        // outputs plus four run one at a time).
+        for h in [64usize, 12] {
+            let m = Mlp::new(&[70, h, 1], &mut rng());
+            let xs: Vec<f32> = (0..5 * 70)
+                .map(|i| ((i as f32) * 0.43).sin() * 2.0)
+                .collect();
+            let cuts = [0usize, 17, 18, 45, 70];
+            for scalar in [false, true] {
+                let _g = scalar.then(crate::forced_scalar);
+                let w0 = &m.layers()[0];
+                for row in xs.chunks_exact(70) {
+                    let mut h_sum = w0.b.clone();
+                    for c in cuts.windows(2) {
+                        let mut p = vec![0.0f32; h];
+                        m.project_cols(c[0]..c[1], &row[c[0]..], 70, &mut p);
+                        for (a, v) in h_sum.iter_mut().zip(&p) {
+                            *a += v;
+                        }
+                    }
+                    let mut dense = vec![0.0f32; h];
+                    w0.forward_into(row, &mut dense);
+                    for (a, d) in h_sum.iter().zip(&dense) {
+                        assert!((a - d).abs() <= 1e-4 * (1.0 + d.abs()), "{a} vs {d}");
+                    }
+                }
+                // Rows projected together equal rows projected alone.
+                let mut all = vec![0.0f32; 5 * h];
+                m.project_cols(17..45, &xs[17..], 70, &mut all);
+                for (i, got) in all.chunks_exact(h).enumerate() {
+                    let mut one = vec![0.0f32; h];
+                    m.project_cols(17..45, &xs[i * 70 + 17..], 70, &mut one);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&one), "row {i} (scalar={scalar})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_from_hidden_matches_the_full_pass_under_scalar() {
+        let _g = crate::forced_scalar();
+        let m = Mlp::new(&[9, 16, 5, 1], &mut rng());
+        let n = 19;
+        let xs: Vec<f32> = (0..n * 9)
+            .map(|i| ((i as f32) * 0.29).cos() * 3.0)
+            .collect();
+        let full = m.predict_batch(&xs);
+        let w0 = &m.layers()[0];
+        let mut hs = vec![0.0f32; n * 16];
+        for (x, h) in xs.chunks_exact(9).zip(hs.chunks_exact_mut(16)) {
+            w0.forward_into(x, h);
+            for v in h.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        let mut out = vec![0.0f32; n];
+        m.predict_from_hidden_into(&hs, &mut out, &mut MlpScratch::default());
+        for (a, b) in out.iter().zip(&full) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // A single-layer network's "hidden" rows are its outputs.
+        let one = Mlp::new(&[4, 1], &mut rng());
+        let mut out = [0.0f32; 2];
+        one.predict_from_hidden_into(&[1.5, -2.0], &mut out, &mut MlpScratch::default());
+        assert_eq!(out, [1.5, -2.0]);
     }
 
     #[test]

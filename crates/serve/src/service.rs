@@ -947,8 +947,8 @@ fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
 }
 
 /// Per-worker reusable buffers: batch/group staging plus the full
-/// prediction scratch ([`PredictScratch`]: MLP activations, assembly plan,
-/// dedup tables). Warm after the first batch, so steady-state serving
+/// prediction scratch ([`PredictScratch`]: dedup table, entry plan,
+/// first-layer projections, MLP activations). Warm after the first batch, so steady-state serving
 /// allocates nothing per request.
 #[derive(Default)]
 struct WorkerScratch {

@@ -75,7 +75,9 @@ fn tiny_model() -> ConcordePredictor {
         layout,
         normalizer: Normalizer {
             mean: (0..dim).map(|i| (i as f32 * 0.37).sin()).collect(),
-            std: (0..dim).map(|i| 0.5 + (i as f32 * 0.11).cos().abs()).collect(),
+            std: (0..dim)
+                .map(|i| 0.5 + (i as f32 * 0.11).cos().abs())
+                .collect(),
             log1p: true,
         },
         mlp: Mlp::new(&[dim, 8, 4, 1], &mut rng),
@@ -106,10 +108,8 @@ fn model_artifact_bytes_are_pinned() {
     // Run inference first, so anything it caches on the model is in place
     // when the artifact is written.
     let before = model.predict(&store, &n1);
-    let path = std::env::temp_dir().join(format!(
-        "concorde_model_golden_{}.json",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("concorde_model_golden_{}.json", std::process::id()));
     model.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let loaded = ConcordePredictor::load(&path).unwrap();

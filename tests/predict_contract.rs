@@ -136,7 +136,10 @@ fn check_store(
             "{label}: predict_features {via_features} vs predict {y}"
         );
         let dense = dense_reference(model, &features);
-        assert!(y.is_finite() && dense > 0.0, "{label}: {y} vs dense {dense}");
+        assert!(
+            y.is_finite() && dense > 0.0,
+            "{label}: {y} vs dense {dense}"
+        );
         worst = worst.max((y - dense).abs() / dense);
     }
     let batch = model.predict_batch(store, archs);
@@ -214,5 +217,48 @@ fn predictor_paths_agree_bitwise_and_stay_within_tolerance_of_dense() {
             w <= DENSE_REL_TOL,
             "relative gap {w:.3e} to the dense reference exceeds {DENSE_REL_TOL:e}"
         );
+    }
+}
+
+/// The batch dedup is linear-time and keyed on every architecture field:
+/// a 1,000-row batch drawn from 40 architectures (repeats scattered, some
+/// differing only in the branch predictor) answers each row exactly as
+/// `predict` does.
+#[test]
+fn thousand_row_batch_with_repeats_matches_per_row_predict() {
+    let profile = profile();
+    let spec = by_id("S5").unwrap();
+    let full = generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
+    let (w, r) = full.instrs.split_at(profile.warmup_len);
+    let store = FeatureStore::precompute(w, r, &SweepConfig::quantized(), &profile);
+    let layout = FeatureLayout {
+        encoding: profile.encoding,
+        variant: FeatureVariant::Full,
+    };
+    let mut rng = ChaCha12Rng::seed_from_u64(0xD0D0);
+    let mut pool: Vec<MicroArch> = (0..30).map(|_| grid_arch(&mut rng)).collect();
+    for i in 0..10 {
+        let mut a = pool[i];
+        a.predictor = PredictorKind::Simple {
+            miss_pct: i as u8 + 1,
+        };
+        pool.push(a);
+    }
+    let rows: Vec<f32> = pool
+        .iter()
+        .flat_map(|a| store.features(a, layout.variant))
+        .collect();
+    let model = model_fitted_on(&rows, layout);
+    let batch: Vec<MicroArch> = (0..1000)
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect();
+    let mut scratch = PredictScratch::default();
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        model.predict_batch_into(&store, &batch, &mut scratch, &mut out);
+        assert_eq!(out.len(), batch.len());
+        for (i, (a, y)) in batch.iter().zip(&out).enumerate() {
+            assert_eq!(y.to_bits(), model.predict(&store, a).to_bits(), "row {i}");
+        }
     }
 }
