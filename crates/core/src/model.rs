@@ -32,7 +32,6 @@ pub struct PredictScratch {
     dedup: ArchDedup,
     plan: EntryPlan,
     layer0: Layer0Scratch,
-    uniq_out: Vec<f64>,
 }
 
 /// Linear-time batch dedup keyed on every field of the architecture (all
@@ -66,14 +65,13 @@ impl ArchDedup {
 /// The factored first layer's buffers.
 #[derive(Default)]
 struct Layer0Scratch {
-    /// One segment's raw, then standardized, input rows.
+    /// One segment's raw, then standardized, input rows — or one whole
+    /// input row (single-row predictions).
     xs: Vec<f32>,
     /// Projected rows (first-layer width), segment after segment.
     proj: Vec<f32>,
     /// Segment `j`'s projections start at row `bases[j]` of `proj`.
     bases: [usize; MAX_SEGMENTS],
-    /// One assembled raw input row (single-row predictions).
-    row: Vec<f32>,
     /// First-layer activations, one row per prediction.
     hidden: Vec<f32>,
     /// Raw network outputs.
@@ -206,8 +204,8 @@ impl ConcordePredictor {
             let PredictScratch {
                 mlp, plan, layer0, ..
             } = &mut *s.borrow_mut();
-            layer0.row.clear();
-            layer0.row.extend_from_slice(features);
+            layer0.xs.clear();
+            layer0.xs.extend_from_slice(features);
             self.forward_row(&mut plan.local, layer0, mlp);
             self.postprocess(f64::from(layer0.raw[0]))
         })
@@ -276,14 +274,13 @@ impl ConcordePredictor {
             dedup,
             plan,
             layer0,
-            uniq_out,
         } = scratch;
         dedup.run(archs);
         let uniq = &dedup.uniq;
         if let [arch] = uniq.as_slice() {
             // Nothing to share: assemble the one row and skip the plan.
-            layer0.row.resize(self.layout.dim(), 0.0);
-            store.features_into(arch, self.layout.variant, &mut layer0.row);
+            layer0.xs.resize(self.layout.dim(), 0.0);
+            store.features_into(arch, self.layout.variant, &mut layer0.xs);
             self.forward_row(&mut plan.local, layer0, mlp);
             let y = self.postprocess(f64::from(layer0.raw[0]));
             out.clear();
@@ -314,26 +311,30 @@ impl ConcordePredictor {
             }
         });
         self.finish(uniq.len(), &segments, &plan.local, layer0, mlp);
-        uniq_out.clear();
-        uniq_out.extend(layer0.raw.iter().map(|&o| self.postprocess(f64::from(o))));
+        let raw = &layer0.raw;
         out.clear();
-        out.extend(dedup.map.iter().map(|&u| uniq_out[u as usize]));
+        out.extend(
+            dedup
+                .map
+                .iter()
+                .map(|&u| self.postprocess(f64::from(raw[u as usize]))),
+        );
     }
 
-    /// The factored first layer over the one raw row in `l0.row`:
+    /// The factored first layer over the one raw row in `l0.xs`:
     /// standardized in one pass, each segment projected straight from it
     /// (what [`ConcordePredictor::project_segments`] computes segment by
     /// segment, bit for bit), then the rest of the network into `l0.raw[0]`.
     fn forward_row(&self, local: &mut Vec<u32>, l0: &mut Layer0Scratch, mlp: &mut MlpScratch) {
         let segments = self.layout.segments();
         let h = self.mlp.layers()[0].out_dim;
-        self.normalizer.apply(&mut l0.row);
+        self.normalizer.apply(&mut l0.xs);
         l0.proj.clear();
         l0.proj.resize(segments.len() * h, 0.0);
         for (j, (seg, proj)) in segments.iter().zip(l0.proj.chunks_exact_mut(h)).enumerate() {
             l0.bases[j] = j;
             self.mlp
-                .project_cols(seg.cols(), &l0.row[seg.start..], seg.len, proj);
+                .project_cols(seg.cols(), &l0.xs[seg.start..], seg.len, proj);
         }
         local.clear();
         local.resize(segments.len(), 0);

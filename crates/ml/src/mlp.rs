@@ -323,9 +323,10 @@ impl Mlp {
     /// accumulated from zero with no bias and no activation, so the first
     /// layer's pre-activation is `b0` plus the projections of segments that
     /// tile the input. Runs the per-sample GEMV chain over the cached
-    /// transposed weights (no weights are copied) or, under the scalar
-    /// kernel, `acc += w·x` left to right; a row's result depends only on
-    /// its own values, never on the other rows.
+    /// transposed weights (no weights are copied) — under the scalar
+    /// kernel `acc += w·x` left to right, as the dense scalar kernel does;
+    /// a row's result depends only on its own values, never on the other
+    /// rows.
     ///
     /// # Panics
     ///
@@ -348,14 +349,28 @@ impl Mlp {
             "xs too short for {n} rows"
         );
         let kind = kernel::active_kernel();
+        let wt = &self.transposed()[0];
         if kind != KernelKind::Scalar {
-            let wt = &self.transposed()[0];
             kernel::gemv_project(kind, &layer.w, wt, in_dim, h, cols, xs, stride, out);
             return;
         }
+        // Each output's chain is `acc = 0; acc += w·x` for k left to right;
+        // walking k outermost over the transposed weights runs the grouped
+        // outputs' chains side by side (and lets them vectorize).
+        let grouped = kernel::gemv_grouped(h);
+        let wt = &wt[cols.start * grouped..cols.end * grouped];
         for (i, y) in out.chunks_exact_mut(h).enumerate() {
             let x = &xs[i * stride..i * stride + len];
-            for (o, y) in y.iter_mut().enumerate() {
+            let (head, tail) = y.split_at_mut(grouped);
+            head.fill(0.0);
+            if grouped > 0 {
+                for (&xk, w) in x.iter().zip(wt.chunks_exact(grouped)) {
+                    for (acc, &wv) in head.iter_mut().zip(w) {
+                        *acc += wv * xk;
+                    }
+                }
+            }
+            for (o, y) in (grouped..).zip(tail) {
                 let row = &layer.w[o * in_dim + cols.start..o * in_dim + cols.end];
                 let mut acc = 0.0f32;
                 for (wv, xv) in row.iter().zip(x) {
