@@ -223,7 +223,9 @@ fn predictor_paths_agree_bitwise_and_stay_within_tolerance_of_dense() {
 /// The batch dedup is linear-time and keyed on every architecture field:
 /// a 1,000-row batch drawn from 40 architectures (repeats scattered, some
 /// differing only in the branch predictor) answers each row exactly as
-/// `predict` does.
+/// `predict` does — under every feature variant, whose segment lists
+/// differ (`Base` has no stall or memory-config group, `BaseBranch` a
+/// memory-config group without latencies).
 #[test]
 fn thousand_row_batch_with_repeats_matches_per_row_predict() {
     let profile = profile();
@@ -231,10 +233,6 @@ fn thousand_row_batch_with_repeats_matches_per_row_predict() {
     let full = generate_region(&spec, 0, 0, profile.warmup_len + profile.region_len);
     let (w, r) = full.instrs.split_at(profile.warmup_len);
     let store = FeatureStore::precompute(w, r, &SweepConfig::quantized(), &profile);
-    let layout = FeatureLayout {
-        encoding: profile.encoding,
-        variant: FeatureVariant::Full,
-    };
     let mut rng = ChaCha12Rng::seed_from_u64(0xD0D0);
     let mut pool: Vec<MicroArch> = (0..30).map(|_| grid_arch(&mut rng)).collect();
     for i in 0..10 {
@@ -244,21 +242,37 @@ fn thousand_row_batch_with_repeats_matches_per_row_predict() {
         };
         pool.push(a);
     }
-    let rows: Vec<f32> = pool
-        .iter()
-        .flat_map(|a| store.features(a, layout.variant))
-        .collect();
-    let model = model_fitted_on(&rows, layout);
     let batch: Vec<MicroArch> = (0..1000)
         .map(|_| pool[rng.gen_range(0..pool.len())])
         .collect();
     let mut scratch = PredictScratch::default();
     let mut out = Vec::new();
-    for _ in 0..2 {
-        model.predict_batch_into(&store, &batch, &mut scratch, &mut out);
-        assert_eq!(out.len(), batch.len());
-        for (i, (a, y)) in batch.iter().zip(&out).enumerate() {
-            assert_eq!(y.to_bits(), model.predict(&store, a).to_bits(), "row {i}");
+    for variant in [
+        FeatureVariant::Base,
+        FeatureVariant::BaseBranch,
+        FeatureVariant::Full,
+    ] {
+        let layout = FeatureLayout {
+            encoding: profile.encoding,
+            variant,
+        };
+        let rows: Vec<f32> = pool
+            .iter()
+            .flat_map(|a| store.features(a, variant))
+            .collect();
+        let model = model_fitted_on(&rows, layout);
+        for _ in 0..2 {
+            model.predict_batch_into(&store, &batch, &mut scratch, &mut out);
+            assert_eq!(out.len(), batch.len());
+            for (i, (a, y)) in batch.iter().zip(&out).enumerate() {
+                let single = model.predict(&store, a);
+                assert_eq!(y.to_bits(), single.to_bits(), "{variant:?} row {i}");
+            }
+        }
+        for a in &pool {
+            let dense = dense_reference(&model, &store.features(a, variant));
+            let gap = (model.predict(&store, a) - dense).abs() / dense;
+            assert!(gap <= DENSE_REL_TOL, "{variant:?}: gap {gap:.3e}");
         }
     }
 }
