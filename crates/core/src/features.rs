@@ -2009,6 +2009,37 @@ mod tests {
     }
 
     #[test]
+    fn segments_tile_the_schema_blocks() {
+        for variant in [
+            FeatureVariant::Base,
+            FeatureVariant::BaseBranch,
+            FeatureVariant::Full,
+        ] {
+            let layout = FeatureLayout {
+                encoding: Encoding { levels: 8 },
+                variant,
+            };
+            let schema = layout.schema();
+            let range = |name: &str| schema.range(name).unwrap();
+            let mut want: Vec<std::ops::Range<usize>> =
+                Resource::ALL.iter().map(|r| range(r.name())).collect();
+            want.push(range("mispredict"));
+            if variant != FeatureVariant::Base {
+                want.push(range("isb").start..range("branch_indirect").end);
+                let last = if variant == FeatureVariant::Full {
+                    "commit_latency"
+                } else {
+                    "rob_curve"
+                };
+                want.push(range("rob_curve").start..range(last).end);
+            }
+            want.push(range("params"));
+            let got: Vec<_> = layout.segments().iter().map(InputSegment::cols).collect();
+            assert_eq!(got, want, "{variant:?}");
+        }
+    }
+
+    #[test]
     fn features_have_declared_dims_for_all_variants() {
         let arch = MicroArch::arm_n1();
         let store = quick_store(&arch);
