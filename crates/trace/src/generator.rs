@@ -359,8 +359,9 @@ impl<'a> Walker<'a> {
 
     /// Emits the next dynamic instruction.
     fn next_instr(&mut self) -> Instruction {
+        let prog = self.prog;
         loop {
-            let block = &self.prog.blocks[self.cur as usize];
+            let block = &prog.blocks[self.cur as usize];
             if self.op_idx < block.ops.len() {
                 let op = block.ops[self.op_idx];
                 let pc = block.base_pc + self.op_idx as u64 * 4;
@@ -393,14 +394,14 @@ impl<'a> Walker<'a> {
             let count = self.branch_counts[self.cur as usize];
             self.branch_counts[self.cur as usize] = count.wrapping_add(1);
             self.op_idx = 0;
-            match block.terminator.clone() {
+            match &block.terminator {
                 Terminator::FallThrough { next } => {
-                    self.cur = next;
+                    self.cur = *next;
                     // No instruction emitted; continue with the next block.
                 }
                 Terminator::Jump { target } => {
-                    let tpc = self.prog.blocks[target as usize].base_pc;
-                    self.cur = target;
+                    let tpc = prog.blocks[*target as usize].base_pc;
+                    self.cur = *target;
                     return Instruction::branch(
                         branch_pc,
                         BranchKind::DirectUncond,
@@ -414,9 +415,9 @@ impl<'a> Walker<'a> {
                     target,
                     fall,
                 } => {
-                    let taken = self.decide(behavior, count);
-                    let next = if taken { target } else { fall };
-                    let tpc = self.prog.blocks[target as usize].base_pc;
+                    let taken = self.decide(*behavior, count);
+                    let next = if taken { *target } else { *fall };
+                    let tpc = prog.blocks[*target as usize].base_pc;
                     self.cur = next;
                     return Instruction::branch(
                         branch_pc,
@@ -428,7 +429,7 @@ impl<'a> Walker<'a> {
                 }
                 Terminator::IndirectBranch { targets } => {
                     let t = targets[self.rng.gen_range(0..targets.len())];
-                    let tpc = self.prog.blocks[t as usize].base_pc;
+                    let tpc = prog.blocks[t as usize].base_pc;
                     self.cur = t;
                     return Instruction::branch(
                         branch_pc,

@@ -30,9 +30,11 @@ pub trait RngCore {
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         (**self).next_u32()
     }
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
@@ -83,14 +85,24 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `x as u128 % span` for any `span >= 1`, with a 64-bit division: a span
+/// above `u64::MAX` (a full 64-bit inclusive range) exceeds every `x`, which
+/// it leaves as it is.
+#[inline]
+fn reduce(x: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(s) => x % s,
+        Err(_) => x,
+    }
+}
+
 macro_rules! impl_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
+                (self.start as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
         impl SampleRange<$t> for std::ops::RangeInclusive<$t> {
@@ -98,8 +110,7 @@ macro_rules! impl_range_int {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty inclusive range in gen_range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (lo as i128 + v as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -223,6 +234,7 @@ pub mod rngs {}
 mod tests {
     use super::*;
 
+    #[derive(Clone)]
     struct Counter(u64);
     impl RngCore for Counter {
         fn next_u32(&mut self) -> u32 {
@@ -249,6 +261,64 @@ mod tests {
             assert!((-2.0..2.0).contains(&f));
             let u: f64 = r.gen();
             assert!((0.0..1.0).contains(&u));
+        }
+    }
+
+    /// `gen_range` as it reduced before: the draw modulo the span in u128.
+    fn wide_reference(r: &mut Counter, lo: i128, hi_inclusive: i128) -> i128 {
+        let span = (hi_inclusive - lo) as u128 + 1;
+        lo + ((r.next_u64() as u128) % span) as i128
+    }
+
+    #[test]
+    fn gen_range_matches_the_u128_reduction() {
+        let mut r = Counter(11);
+        for _ in 0..2000 {
+            let mut want = r.clone();
+            let v: u64 = r.gen_range(0..=u64::MAX);
+            assert_eq!(i128::from(v), wide_reference(&mut want, 0, u64::MAX.into()));
+
+            let mut want = r.clone();
+            let v: i64 = r.gen_range(i64::MIN..=i64::MAX);
+            assert_eq!(
+                i128::from(v),
+                wide_reference(&mut want, i64::MIN.into(), i64::MAX.into())
+            );
+
+            let mut want = r.clone();
+            let v: i64 = r.gen_range(i64::MIN..i64::MAX);
+            assert_eq!(
+                i128::from(v),
+                wide_reference(&mut want, i64::MIN.into(), i128::from(i64::MAX) - 1)
+            );
+
+            // Spans above 2^32.
+            let (lo, hi) = (-(3i64 << 40), 5i64 << 33);
+            let mut want = r.clone();
+            let v: i64 = r.gen_range(lo..hi);
+            assert_eq!(
+                i128::from(v),
+                wide_reference(&mut want, lo.into(), (hi - 1).into())
+            );
+
+            let mut want = r.clone();
+            let v: u64 = r.gen_range((1u64 << 32) + 7..=u64::MAX - 3);
+            assert_eq!(
+                i128::from(v),
+                wide_reference(&mut want, ((1u64 << 32) + 7).into(), (u64::MAX - 3).into())
+            );
+
+            let mut want = r.clone();
+            let v: usize = r.gen_range(0..usize::MAX);
+            assert_eq!(
+                v as i128,
+                wide_reference(&mut want, 0, usize::MAX as i128 - 1)
+            );
+
+            // A narrow unsigned span keeps its value too.
+            let mut want = r.clone();
+            let v: u32 = r.gen_range(3..=17);
+            assert_eq!(i128::from(v), wide_reference(&mut want, 3, 17));
         }
     }
 
