@@ -424,10 +424,87 @@ impl ConcordePredictor {
     ///
     /// # Errors
     ///
-    /// Returns any I/O or deserialization error.
+    /// Returns any I/O or deserialization error, and an
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData) error for a model
+    /// whose shapes do not fit together or that holds a non-finite value
+    /// (see [`ConcordePredictor::check_shape`]), which would otherwise panic
+    /// or answer NaN on its first prediction.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let f = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(f)).map_err(std::io::Error::other)
+        let model: Self =
+            serde_json::from_reader(std::io::BufReader::new(f)).map_err(std::io::Error::other)?;
+        model.check_shape().map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("misshapen model {}: {e}", path.display()),
+            )
+        })?;
+        Ok(model)
+    }
+
+    /// Checks what every prediction relies on: the normalizer has one mean
+    /// and one positive standard deviation per input dimension, the layers
+    /// chain from `layout.dim()` inputs to one output with weight and bias
+    /// vectors of their declared sizes, and every value is finite.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let dim = self.layout.dim();
+        let norm = &self.normalizer;
+        if norm.mean.len() != dim || norm.std.len() != dim {
+            return Err(format!(
+                "normalizer has {} means and {} deviations for {dim} input dimensions",
+                norm.mean.len(),
+                norm.std.len()
+            ));
+        }
+        if let Some(j) = norm.mean.iter().position(|m| !m.is_finite()) {
+            return Err(format!("normalizer mean {j} is not finite"));
+        }
+        if let Some(j) = norm.std.iter().position(|s| !(s.is_finite() && *s > 0.0)) {
+            return Err(format!(
+                "normalizer deviation {j} is not a finite positive number"
+            ));
+        }
+        let layers = self.mlp.layers();
+        if layers.is_empty() {
+            return Err("the MLP has no layers".into());
+        }
+        let mut inputs = dim;
+        for (l, layer) in layers.iter().enumerate() {
+            if layer.in_dim != inputs {
+                return Err(format!(
+                    "layer {l} takes {} inputs but receives {inputs}",
+                    layer.in_dim
+                ));
+            }
+            if Some(layer.w.len()) != layer.in_dim.checked_mul(layer.out_dim)
+                || layer.b.len() != layer.out_dim
+            {
+                return Err(format!(
+                    "layer {l} ({} → {}) holds {} weights and {} biases",
+                    layer.in_dim,
+                    layer.out_dim,
+                    layer.w.len(),
+                    layer.b.len()
+                ));
+            }
+            if layer.w.iter().chain(&layer.b).any(|x| !x.is_finite()) {
+                return Err(format!("layer {l} holds a non-finite parameter"));
+            }
+            inputs = layer.out_dim;
+        }
+        if inputs != 1 {
+            return Err(format!("the MLP has {inputs} outputs, not 1"));
+        }
+        if let Some((lo, hi)) = self.output_clamp {
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return Err(format!("output clamp ({lo}, {hi}) is not a finite range"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -487,6 +564,95 @@ mod tests {
         let x = vec![0.5f32; dim];
         assert!((model.predict_features(&x) - loaded.predict_features(&x)).abs() < 1e-9);
         std::fs::remove_file(&dir).ok();
+    }
+
+    fn tiny_model(seed: u64) -> ConcordePredictor {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let layout = FeatureLayout {
+            encoding: Encoding { levels: 4 },
+            variant: FeatureVariant::Base,
+        };
+        let dim = layout.dim();
+        ConcordePredictor {
+            layout,
+            normalizer: Normalizer {
+                mean: vec![0.0; dim],
+                std: vec![1.0; dim],
+                log1p: false,
+            },
+            mlp: Mlp::new(&[dim, 8, 4, 1], &mut rng),
+            log_output: true,
+            output_clamp: None,
+        }
+    }
+
+    /// Saves `model`, loads it back and returns the load error's kind and
+    /// message.
+    fn load_error(model: &ConcordePredictor, name: &str) -> (std::io::ErrorKind, String) {
+        let path = std::env::temp_dir().join(format!(
+            "concorde_misshapen_{name}_{}.json",
+            std::process::id()
+        ));
+        model.save(&path).unwrap();
+        let err = ConcordePredictor::load(&path).expect_err("a misshapen model must not load");
+        std::fs::remove_file(&path).ok();
+        (err.kind(), err.to_string())
+    }
+
+    #[test]
+    fn misshapen_models_fail_to_load_with_invalid_data() {
+        assert_eq!(tiny_model(3).check_shape(), Ok(()));
+
+        // A 10-entry normalizer against a wider layout.
+        let mut short = tiny_model(3);
+        short.normalizer.mean.truncate(10);
+        let (kind, msg) = load_error(&short, "normalizer");
+        assert_eq!(kind, std::io::ErrorKind::InvalidData);
+        assert!(msg.contains("10 means"), "{msg}");
+
+        // A hidden layer that expects more inputs than the one before it
+        // gives, with weights that fit its own declared shape.
+        let mut broken = tiny_model(3);
+        {
+            let layer = &mut broken.mlp.layers_mut()[1];
+            layer.in_dim += 1;
+            layer.w.resize(layer.in_dim * layer.out_dim, 0.0);
+        }
+        let (kind, msg) = load_error(&broken, "chain");
+        assert_eq!(kind, std::io::ErrorKind::InvalidData);
+        assert!(
+            msg.contains("layer 1 takes 9 inputs but receives 8"),
+            "{msg}"
+        );
+
+        // Two outputs.
+        let mut wide = tiny_model(3);
+        {
+            let last = wide.mlp.layers_mut().last_mut().unwrap();
+            last.out_dim = 2;
+            last.w.resize(last.in_dim * 2, 0.0);
+            last.b.resize(2, 0.0);
+        }
+        assert!(wide.check_shape().unwrap_err().contains("2 outputs"));
+
+        // Weights that do not fit the declared shape.
+        let mut ragged = tiny_model(3);
+        ragged.mlp.layers_mut()[0].w.pop();
+        assert!(ragged.check_shape().unwrap_err().contains("layer 0"));
+
+        // Non-finite values: JSON cannot carry them, so check in memory.
+        let mut nan = tiny_model(3);
+        nan.mlp.layers_mut()[2].b[0] = f32::NAN;
+        assert!(nan.check_shape().unwrap_err().contains("non-finite"));
+        let mut zero_std = tiny_model(3);
+        zero_std.normalizer.std[4] = 0.0;
+        assert!(zero_std.check_shape().unwrap_err().contains("deviation 4"));
+        let mut inf_mean = tiny_model(3);
+        inf_mean.normalizer.mean[0] = f32::INFINITY;
+        assert!(inf_mean.check_shape().unwrap_err().contains("mean 0"));
+        let mut clamp = tiny_model(3);
+        clamp.output_clamp = Some((2.0, 1.0));
+        assert!(clamp.check_shape().unwrap_err().contains("clamp"));
     }
 
     #[test]
