@@ -9,6 +9,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// [`Encoding::encode_u32`] counts values in a histogram when they span at
+/// most this many distinct integers per sample, and sorts them otherwise:
+/// counting costs one pass over the samples plus one over the span, so it
+/// beats a sort while the span stays within a small multiple of the length.
+pub const HIST_SPAN_PER_SAMPLE: usize = 4;
+
 /// Encoding configuration: `levels` percentiles per half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Encoding {
@@ -43,16 +49,125 @@ impl Encoding {
 
     /// Encodes an integer-valued series (e.g. window counts, latencies).
     ///
-    /// Bitwise equal to `encode` over the samples widened to `f64`: the
-    /// integers are sorted first, which is cheaper, and since
-    /// `f64::from(u32)` is exact and monotone and equal integers widen to
-    /// identical bits, the widened sorted sequence is exactly the one
-    /// `encode` sorts into.
+    /// Bitwise equal to `encode` over the samples widened to `f64`. When
+    /// the values span at most [`HIST_SPAN_PER_SAMPLE`] distinct integers
+    /// per sample and their sum is at most 2^53, the encoding is read off a
+    /// histogram of the values: every partial sum `encode` forms is then an
+    /// integer that `f64` holds exactly, so exact integer sums reproduce it.
+    /// Wider series are sorted as integers, which gives the same sequence
+    /// `encode` sorts into, since widening is exact and monotone.
     pub fn encode_u32(&self, samples: &[u32]) -> Vec<f32> {
+        let n = samples.len();
+        if n == 0 {
+            return vec![0.0; self.dim()];
+        }
+        let (mut lo, mut hi, mut total) = (u32::MAX, 0u32, 0u64);
+        for &x in samples {
+            lo = lo.min(x);
+            hi = hi.max(x);
+            total = total.saturating_add(u64::from(x));
+        }
+        let span = (hi - lo) as usize + 1;
+        if span <= HIST_SPAN_PER_SAMPLE.saturating_mul(n) && total <= 1 << 53 {
+            let mut counts = vec![0u32; span];
+            for &x in samples {
+                counts[(x - lo) as usize] += 1;
+            }
+            return self.encode_histogram(lo, &counts, n, total);
+        }
         let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         let sorted: Vec<f64> = sorted.into_iter().map(f64::from).collect();
         self.encode_sorted(&sorted)
+    }
+
+    /// `encode_sorted` over the ascending sequence holding `counts[j]`
+    /// copies of `lo + j`: `n` samples summing to `total` ≤ 2^53.
+    fn encode_histogram(&self, lo: u32, counts: &[u32], n: usize, total: u64) -> Vec<f32> {
+        /// A position in the sorted sequence: bucket `b`, `t` of its
+        /// samples before it, `idx` samples before it in all.
+        struct Cursor<'c> {
+            counts: &'c [u32],
+            b: usize,
+            t: u32,
+            idx: usize,
+        }
+        impl Cursor<'_> {
+            /// Moves past exhausted buckets, so `b` holds sample `idx`.
+            fn settle(&mut self) {
+                while self.t == self.counts[self.b] {
+                    self.b += 1;
+                    self.t = 0;
+                }
+            }
+        }
+        let value = |b: usize| u64::from(lo) + b as u64;
+        let mut out = Vec::with_capacity(self.dim());
+
+        // Plain percentiles: sample `⌊q n⌋`, as `encode_sorted` indexes.
+        let mut at = Cursor {
+            counts,
+            b: 0,
+            t: 0,
+            idx: 0,
+        };
+        for i in 0..self.levels {
+            let q = (i as f64 + 0.5) / self.levels as f64;
+            let target = ((q * n as f64) as usize).min(n - 1);
+            while at.idx < target {
+                at.settle();
+                let step = ((counts[at.b] - at.t) as usize).min(target - at.idx);
+                at.t += step as u32;
+                at.idx += step;
+            }
+            at.settle();
+            out.push(value(at.b) as f32);
+        }
+
+        // Size-weighted percentiles. `encode_sorted` steps past sample `x`
+        // while `cum + x < q`; with `cum` and `x` integers that is
+        // `cum + x < ⌈q⌉`, so a run of equal values is skipped in one step.
+        if total == 0 {
+            out.extend(std::iter::repeat_n(0.0f32, self.levels));
+        } else {
+            let mut at = Cursor {
+                counts,
+                b: 0,
+                t: 0,
+                idx: 0,
+            };
+            let mut cum = 0u64;
+            for i in 0..self.levels {
+                let q = (i as f64 + 0.5) / self.levels as f64 * total as f64;
+                let q_ceil = q.ceil() as u64;
+                loop {
+                    at.settle();
+                    if at.idx >= n - 1 {
+                        break;
+                    }
+                    let v = value(at.b);
+                    let avail = ((counts[at.b] - at.t) as usize).min(n - 1 - at.idx);
+                    // Zeros always fit: `cum < q` holds throughout.
+                    let fits = q_ceil
+                        .saturating_sub(cum + 1)
+                        .checked_div(v)
+                        .map_or(avail, |k| k.min(avail as u64) as usize);
+                    cum += fits as u64 * v;
+                    at.t += fits as u32;
+                    at.idx += fits;
+                    if fits < avail {
+                        break;
+                    }
+                }
+                at.settle();
+                out.push(value(at.b) as f32);
+            }
+        }
+
+        // Mean.
+        out.push((total as f64 / n as f64) as f32);
+        debug_assert_eq!(out.len(), self.dim());
+        out
     }
 
     /// The encoding of an ascending sample sequence.
@@ -173,5 +288,105 @@ mod tests {
         let a = e.encode_u32(&[1, 2, 3, 4]);
         let b = e.encode(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a, b);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `encode_u32` against sort-then-`encode` over the widened samples.
+    fn assert_matches_encode(samples: &[u32], what: &str) {
+        let widened: Vec<f64> = samples.iter().map(|&x| f64::from(x)).collect();
+        for levels in [1, 8, 16, 50] {
+            let e = Encoding { levels };
+            assert_eq!(
+                bits(&e.encode_u32(samples)),
+                bits(&e.encode(&widened)),
+                "{what}, {levels} levels, {} samples",
+                samples.len()
+            );
+        }
+    }
+
+    /// A seeded series of `len` samples in `base .. base + spread` that
+    /// touches both ends, so its span is exactly `spread`.
+    fn series(len: usize, base: u32, spread: u32, zeros_pct: u64, seed: u64) -> Vec<u32> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut v: Vec<u32> = (0..len)
+            .map(|_| {
+                if next() % 100 < zeros_pct {
+                    base
+                } else {
+                    base + (next() % u64::from(spread)) as u32
+                }
+            })
+            .collect();
+        if len >= 2 {
+            v[0] = base + (spread - 1);
+            v[len - 1] = base;
+        }
+        v
+    }
+
+    #[test]
+    fn histogram_bound_is_exact_on_both_sides() {
+        for len in [2usize, 3, 17, 256, 4096] {
+            let at = (HIST_SPAN_PER_SAMPLE * len) as u32;
+            for spread in [at - 1, at, at + 1] {
+                for base in [0, 1000, u32::MAX - spread + 1] {
+                    let v = series(len, base, spread, 30, len as u64 + u64::from(spread));
+                    assert_matches_encode(&v, &format!("span {spread} from {base}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sums_beyond_2_pow_53_fall_back_to_the_sort() {
+        // A narrow span, so only the sum keeps the histogram out.
+        let len = (1usize << 21) + 3;
+        let v: Vec<u32> = (0..len).map(|i| u32::MAX - (i % 5) as u32).collect();
+        let total: u64 = v.iter().map(|&x| u64::from(x)).sum();
+        assert!(total > 1 << 53);
+        let widened: Vec<f64> = v.iter().map(|&x| f64::from(x)).collect();
+        let e = Encoding { levels: 16 };
+        assert_eq!(bits(&e.encode_u32(&v)), bits(&e.encode(&widened)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 96, ..Default::default() })]
+
+        /// Bit for bit the sort-then-`encode` result, at every length up to
+        /// 5000, on spans either side of the histogram bound, with values
+        /// at 0 and at `u32::MAX`, and with heavy duplication.
+        #[test]
+        fn encode_u32_equals_sorted_encode(
+            len in 0usize..5000,
+            shape in 0u8..6,
+            zeros_pct in 0u64..95,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let per = (HIST_SPAN_PER_SAMPLE * len.max(1)) as u32;
+            let (base, spread) = match shape {
+                0 => (0, 8),
+                1 => (0, per),
+                2 => (7, per + 1 + (seed % 97) as u32),
+                3 => (u32::MAX - per + 1, per),
+                4 => (0, u32::MAX),
+                _ => (1, u32::MAX),
+            };
+            let mut v = series(len, base, spread, zeros_pct, seed);
+            if shape == 5 && len >= 2 {
+                v[0] = 0;
+                v[len - 1] = u32::MAX;
+            }
+            assert_matches_encode(&v, &format!("shape {shape}"));
+        }
     }
 }

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::memory_model::MemoryModel;
     pub use crate::pipes::{pipe_bounds, PipeBounds};
     pub use crate::queues::{queue_model, QueueKind};
-    pub use crate::rob::{rob_model, RobResult, ROB_SWEEP};
+    pub use crate::rob::{rob_model, rob_model_with, RobResult, RobScratch, ROB_SWEEP};
     pub use crate::trace_analysis::{
         analyze_branches, analyze_data, analyze_inst, analyze_static, BranchInfo, DataLatencies,
         InstLatencies, TraceInfo, NO_DEP,

@@ -26,7 +26,7 @@ use crate::trace_analysis::{DataLatencies, TraceInfo};
 
 /// Per-line state of Algorithm 1.
 #[derive(Debug, Clone, Copy, Default)]
-struct LineState {
+pub(crate) struct LineState {
     access_counter: usize,
     last_req_cycle: u64,
     last_resp_cycle: u64,
@@ -51,16 +51,34 @@ impl<'a> MemoryModel<'a> {
     ///
     /// Panics if the two disagree on the instruction count.
     pub fn new(info: &'a TraceInfo, latencies: &'a DataLatencies) -> Self {
+        Self::reusing(info, latencies, Vec::new())
+    }
+
+    /// [`MemoryModel::new`], keeping the per-line state in `lines`' storage
+    /// (whatever it held is discarded); [`MemoryModel::into_lines`] hands
+    /// the storage back for the next run.
+    pub(crate) fn reusing(
+        info: &'a TraceInfo,
+        latencies: &'a DataLatencies,
+        mut lines: Vec<LineState>,
+    ) -> Self {
         assert_eq!(
             info.len(),
             latencies.exec_latency.len(),
             "TraceInfo and DataLatencies must come from the same instructions"
         );
+        lines.clear();
+        lines.resize(info.load_lines(), LineState::default());
         MemoryModel {
             info,
             latencies,
-            lines: vec![LineState::default(); info.load_lines()],
+            lines,
         }
+    }
+
+    /// The per-line state's storage, for [`MemoryModel::reusing`].
+    pub(crate) fn into_lines(self) -> Vec<LineState> {
+        self.lines
     }
 
     /// Returns the execution-completion cycle for instruction `idx` issued at

@@ -19,13 +19,14 @@
 //! Everything that does not depend on the ROB size or the memory
 //! configuration comes precomputed on [`TraceInfo`]: the producer → consumer
 //! graph as a CSR with per-instruction dependency counts, and the dense
-//! load-line ids [`MemoryModel`] indexes. A run allocates only its own
-//! per-instruction cycle arrays.
+//! load-line ids [`MemoryModel`] indexes. A run's working arrays live in a
+//! [`RobScratch`] that a sweep reuses from one run to the next; a run
+//! allocates only the four arrays of its [`RobResult`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::memory_model::MemoryModel;
+use crate::memory_model::{LineState, MemoryModel};
 use crate::trace_analysis::{DataLatencies, TraceInfo};
 
 /// Output of one ROB-model run.
@@ -57,27 +58,104 @@ impl RobResult {
     }
 }
 
+/// Reusable working memory for [`rob_model_with`]: the per-instruction
+/// completion cycles, dependency countdowns and ready heap, and the memory
+/// model's per-line state. Any run may follow any other, over any region;
+/// every run starts from a clean state.
+#[derive(Debug, Default)]
+pub struct RobScratch {
+    /// `f_i`, or [`NOT_EXECUTED`].
+    f: Vec<u64>,
+    /// Latest completion among the producers seen so far.
+    max_dep_f: Vec<u64>,
+    /// Pending-dependency countdown over the region's consumer graph.
+    dep_remaining: Vec<u8>,
+    /// Ready instructions keyed `s_i << IDX_BITS | i`.
+    heap: BinaryHeap<Reverse<u64>>,
+    lines: Vec<LineState>,
+}
+
+/// Low bits of a heap key that hold the instruction index.
+const IDX_BITS: u32 = 24;
+
+/// `f_i` of an instruction that has not executed yet. Real cycles stay below
+/// `2^(64 - IDX_BITS)` (asserted per run), so they never reach it.
+const NOT_EXECUTED: u64 = u64::MAX;
+
+/// The arrival cycle `a_i = c_{i-ROB}` (Eq. 1); the caller guarantees that
+/// instruction `i - rob` has committed.
+#[inline]
+fn arrival(c: &[u64], i: usize, rob: usize) -> u64 {
+    if i >= rob {
+        c[i - rob]
+    } else {
+        0
+    }
+}
+
+#[inline]
+fn clamp_u32(x: u64) -> u32 {
+    x.min(u64::from(u32::MAX)) as u32
+}
+
 /// Runs the ROB dynamical system for `rob_size` over the region described by
 /// `info` (dependencies, op classes) and `data` (execution-latency estimates).
 ///
 /// # Panics
 ///
-/// Panics if `rob_size == 0`.
+/// Panics if `rob_size == 0`, or under the conditions of [`rob_model_with`].
 pub fn rob_model(info: &TraceInfo, data: &DataLatencies, rob_size: u32) -> RobResult {
+    rob_model_with(&mut RobScratch::default(), info, data, rob_size)
+}
+
+/// [`rob_model`] with its working arrays kept in `scratch`, so a sweep of
+/// runs allocates them once. The result is bitwise the same as
+/// [`rob_model`]'s, whatever `scratch` was used for before.
+///
+/// # Panics
+///
+/// Panics if `rob_size == 0`, if the region has 2^24 or more instructions,
+/// or if its length times its largest execution latency reaches 2^40 cycles
+/// (the heap packs a start cycle and an index into one `u64`).
+pub fn rob_model_with(
+    scratch: &mut RobScratch,
+    info: &TraceInfo,
+    data: &DataLatencies,
+    rob_size: u32,
+) -> RobResult {
     assert!(rob_size >= 1, "ROB size must be at least 1");
     let n = info.len();
+    assert!(
+        n < 1 << IDX_BITS,
+        "the ROB model handles regions below 2^{IDX_BITS} instructions, got {n}"
+    );
+    // Every cycle is at most one maximal latency per instruction executed
+    // before it, so `n × max latency` bounds every start cycle.
+    let max_latency = data.exec_latency.iter().copied().max().unwrap_or(0);
+    assert!(
+        (n as u64) * u64::from(max_latency) < 1 << (64 - IDX_BITS),
+        "cycle counts of {n} instructions at up to {max_latency} cycles overflow the heap key"
+    );
     let rob = rob_size as usize;
-    let mut a = vec![0u64; n];
-    let mut s = vec![0u64; n];
-    let mut f = vec![0u64; n];
-    let mut c = vec![0u64; n];
-    let mut f_known = vec![false; n];
-    // Pending-dependency countdown over the region's shared consumer graph.
-    let mut dep_remaining = info.dep_count.clone();
+    let RobScratch {
+        f,
+        max_dep_f,
+        dep_remaining,
+        heap,
+        lines,
+    } = scratch;
+    f.clear();
+    f.resize(n, NOT_EXECUTED);
+    max_dep_f.clear();
+    max_dep_f.resize(n, 0);
+    dep_remaining.clear();
+    dep_remaining.extend_from_slice(&info.dep_count);
+    heap.clear();
+    let mut mem = MemoryModel::reusing(info, data, std::mem::take(lines));
 
-    let mut max_dep_f = vec![0u64; n];
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut mem = MemoryModel::new(info, data);
+    let mut c = vec![0u64; n];
+    let mut issue_latency = vec![0u32; n];
+    let mut exec_latency = vec![0u32; n];
     let mut entered = 0usize;
     let mut frontier = 0usize; // instructions with c computed
     let mut executed = 0usize;
@@ -88,18 +166,18 @@ pub fn rob_model(info: &TraceInfo, data: &DataLatencies, rob_size: u32) -> RobRe
         // Enter the window as the ROB constraint allows.
         while entered < n && entered < frontier + rob {
             let i = entered;
-            a[i] = if i >= rob { c[i - rob] } else { 0 };
             if dep_remaining[i] == 0 {
-                s[i] = a[i].max(max_dep_f[i]);
-                heap.push(Reverse((s[i], i as u32)));
+                let s = arrival(&c, i, rob).max(max_dep_f[i]);
+                heap.push(Reverse(s << IDX_BITS | i as u64));
             }
             entered += 1;
         }
 
-        let Reverse((si, iu)) = heap
+        let Reverse(key) = heap
             .pop()
             .expect("ready heap cannot be empty while work remains");
-        let i = iu as usize;
+        let si = key >> IDX_BITS;
+        let i = (key & ((1 << IDX_BITS) - 1)) as usize;
         #[cfg(debug_assertions)]
         {
             debug_assert!(
@@ -108,37 +186,36 @@ pub fn rob_model(info: &TraceInfo, data: &DataLatencies, rob_size: u32) -> RobRe
             );
             last_pop = si;
         }
-        f[i] = mem.resp_cycle(si, i, info.ops[i].is_load());
-        f_known[i] = true;
+        let fi = mem.resp_cycle(si, i, info.ops[i].is_load());
+        f[i] = fi;
+        issue_latency[i] = clamp_u32(si - arrival(&c, i, rob));
+        exec_latency[i] = clamp_u32(fi - si);
         executed += 1;
 
         for &dr in info.consumers_of(i) {
             let d = dr as usize;
-            max_dep_f[d] = max_dep_f[d].max(f[i]);
+            max_dep_f[d] = max_dep_f[d].max(fi);
             dep_remaining[d] -= 1;
             if dep_remaining[d] == 0 && d < entered {
-                s[d] = a[d].max(max_dep_f[d]);
-                heap.push(Reverse((s[d], dr)));
+                let s = arrival(&c, d, rob).max(max_dep_f[d]);
+                heap.push(Reverse(s << IDX_BITS | u64::from(dr)));
             }
         }
 
         // Advance the in-order commit frontier (Eq. 4).
-        while frontier < entered && f_known[frontier] {
+        while frontier < entered && f[frontier] != NOT_EXECUTED {
             let prev = if frontier > 0 { c[frontier - 1] } else { 0 };
             c[frontier] = f[frontier].max(prev);
             frontier += 1;
         }
     }
 
-    let issue_latency = (0..n)
-        .map(|i| (s[i] - a[i]).min(u64::from(u32::MAX)) as u32)
+    let commit_latency = c
+        .iter()
+        .zip(f.iter())
+        .map(|(&c, &f)| clamp_u32(c - f))
         .collect();
-    let exec_latency = (0..n)
-        .map(|i| (f[i] - s[i]).min(u64::from(u32::MAX)) as u32)
-        .collect();
-    let commit_latency = (0..n)
-        .map(|i| (c[i] - f[i]).min(u64::from(u32::MAX)) as u32)
-        .collect();
+    *lines = mem.into_lines();
     RobResult {
         commit_cycles: c,
         issue_latency,
@@ -245,6 +322,57 @@ mod tests {
             big > 1.5 * small,
             "ROB sweep should matter: {small} -> {big}"
         );
+    }
+
+    fn assert_same(got: &RobResult, want: &RobResult, what: &str) {
+        assert_eq!(
+            got.commit_cycles, want.commit_cycles,
+            "{what}: commit cycles"
+        );
+        assert_eq!(
+            got.issue_latency, want.issue_latency,
+            "{what}: issue latency"
+        );
+        assert_eq!(got.exec_latency, want.exec_latency, "{what}: exec latency");
+        assert_eq!(
+            got.commit_latency, want.commit_latency,
+            "{what}: commit latency"
+        );
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_runs_in_any_order() {
+        let regions = [setup_warmed("P13", 3000), setup_warmed("S5", 5000)];
+        let fresh: Vec<Vec<RobResult>> = regions
+            .iter()
+            .map(|(info, data)| ROB_SWEEP.map(|rob| rob_model(info, data, rob)).to_vec())
+            .collect();
+        let forward: Vec<usize> = (0..ROB_SWEEP.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        let interleaved = [5, 0, 10, 3, 7, 1, 9, 2, 8, 4, 6];
+        let mut scratch = RobScratch::default();
+        for order in [&forward[..], &backward, &interleaved] {
+            // Alternate the two regions (different lengths and line counts)
+            // through the same scratch.
+            for &k in order {
+                for (r, (info, data)) in regions.iter().enumerate() {
+                    let got = rob_model_with(&mut scratch, info, data, ROB_SWEEP[k]);
+                    assert_same(
+                        &got,
+                        &fresh[r][k],
+                        &format!("region {r}, ROB {}", ROB_SWEEP[k]),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the heap key")]
+    fn cycles_beyond_the_heap_key_are_refused() {
+        let (info, mut data) = setup_warmed("O1", 2000);
+        data.exec_latency[0] = u32::MAX;
+        rob_model(&info, &data, 16);
     }
 
     #[test]

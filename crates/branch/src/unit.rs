@@ -23,7 +23,7 @@ pub enum PredictorKind {
 }
 
 enum CondImpl {
-    Simple(SimplePredictor),
+    Simple(Box<SimplePredictor>),
     Tage(Box<Tage>),
 }
 
@@ -73,7 +73,7 @@ impl BranchUnit {
     pub fn new(kind: PredictorKind, seed: u64) -> Self {
         let cond = match kind {
             PredictorKind::Simple { miss_pct } => {
-                CondImpl::Simple(SimplePredictor::new(miss_pct, seed))
+                CondImpl::Simple(Box::new(SimplePredictor::new(miss_pct, seed)))
             }
             PredictorKind::Tage => CondImpl::Tage(Box::default()),
         };

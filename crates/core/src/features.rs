@@ -33,7 +33,7 @@ use concorde_trace::{BranchKind, Instruction};
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{Buf, EncArena, MappedStore, RawArena};
-use crate::parallel::parallel_map;
+use crate::parallel::{parallel_map, parallel_map_with};
 use crate::schema::FeatureSchema;
 use crate::sweep::{ReproProfile, SweepConfig};
 
@@ -525,23 +525,6 @@ impl FeatureStore {
         let k = profile.window_k;
         let enc = profile.encoding;
         let e = enc.dim();
-        let info = analyze_static(instrs);
-        let n = info.len();
-        let binfo = analyze_branches(warmup, instrs);
-
-        // Arch-independent: ISB and branch-kind window-count distributions.
-        let isb_dist = enc.encode_u32(&window_counts(n, k, |i| info.is_isb[i]));
-        let branch_dists = [
-            enc.encode_u32(&window_counts(n, k, |i| {
-                info.branch_kinds[i] == Some(BranchKind::DirectUncond)
-            })),
-            enc.encode_u32(&window_counts(n, k, |i| {
-                info.branch_kinds[i] == Some(BranchKind::DirectCond)
-            })),
-            enc.encode_u32(&window_counts(n, k, |i| {
-                info.branch_kinds[i] == Some(BranchKind::Indirect)
-            })),
-        ];
 
         // Deduplicate memory configurations up front (first occurrence wins,
         // preserving sweep order — the lookup tie-break order).
@@ -572,14 +555,49 @@ impl FeatureStore {
         };
         let rob_last = *ROB_SWEEP.last().expect("ROB_SWEEP is non-empty");
 
-        // Stage 1: the per-memory-configuration trace analyses every model
-        // run below depends on.
-        let datas = parallel_map(d_cfgs.len(), threads, |di| {
-            analyze_data(warmup, instrs, d_cfgs[di])
-        });
-        let insts = parallel_map(i_cfgs.len(), threads, |ii| {
-            analyze_inst(warmup, instrs, i_cfgs[ii])
-        });
+        // Stage 1: the trace analyses every model run below depends on. With
+        // one configuration per side (every per-arch store) they are four
+        // serial passes, so a helper thread takes the arch-independent pair
+        // while this thread runs the two cache simulations one after the
+        // other — one `Hierarchy` alive at a time. Multi-configuration
+        // sweeps spread the per-configuration analyses across cores instead.
+        let arch_independent = || (analyze_static(instrs), analyze_branches(warmup, instrs));
+        let ((info, binfo), datas, insts) =
+            if threads >= 2 && d_cfgs.len() == 1 && i_cfgs.len() == 1 {
+                std::thread::scope(|s| {
+                    let helper = s.spawn(arch_independent);
+                    let data = analyze_data(warmup, instrs, d_cfgs[0]);
+                    let inst = analyze_inst(warmup, instrs, i_cfgs[0]);
+                    let statics = helper
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    (statics, vec![data], vec![inst])
+                })
+            } else {
+                let statics = arch_independent();
+                let datas = parallel_map(d_cfgs.len(), threads, |di| {
+                    analyze_data(warmup, instrs, d_cfgs[di])
+                });
+                let insts = parallel_map(i_cfgs.len(), threads, |ii| {
+                    analyze_inst(warmup, instrs, i_cfgs[ii])
+                });
+                (statics, datas, insts)
+            };
+        let n = info.len();
+
+        // Arch-independent: ISB and branch-kind window-count distributions.
+        let isb_dist = enc.encode_u32(&window_counts(n, k, |i| info.is_isb[i]));
+        let branch_dists = [
+            enc.encode_u32(&window_counts(n, k, |i| {
+                info.branch_kinds[i] == Some(BranchKind::DirectUncond)
+            })),
+            enc.encode_u32(&window_counts(n, k, |i| {
+                info.branch_kinds[i] == Some(BranchKind::DirectCond)
+            })),
+            enc.encode_u32(&window_counts(n, k, |i| {
+                info.branch_kinds[i] == Some(BranchKind::Indirect)
+            })),
+        ];
 
         // Stage 2: one flat task list over every (configuration, sweep
         // point), so even a single-d_cfg store (a serve cache miss) spreads
@@ -621,7 +639,7 @@ impl FeatureStore {
             (0..n_i).flat_map(|i| (0..sweep.buffers.len()).map(move |v| Task::Buffer(i, v))),
         );
 
-        let run = |t: usize| -> TaskOut {
+        let run = |rob_scratch: &mut RobScratch, t: usize| -> TaskOut {
             match tasks[t] {
                 Task::Mem(d) => {
                     // 11th primary feature: per-window mean estimated load
@@ -666,7 +684,7 @@ impl FeatureStore {
                 }
                 Task::Rob(d, ri) => {
                     let rv = rob_grid[ri];
-                    let r = rob_model(&info, &datas[d], rv);
+                    let r = rob_model_with(rob_scratch, &info, &datas[d], rv);
                     let raw = throughput_from_marks(&r.commit_cycles, k);
                     let in_sweep = ROB_SWEEP.contains(&rv);
                     TaskOut::Rob {
@@ -735,10 +753,11 @@ impl FeatureStore {
                 }
             }
         };
-        let mut outs: Vec<Option<TaskOut>> = parallel_map(tasks.len(), threads, run)
-            .into_iter()
-            .map(Some)
-            .collect();
+        let mut outs: Vec<Option<TaskOut>> =
+            parallel_map_with(tasks.len(), threads, RobScratch::default, run)
+                .into_iter()
+                .map(Some)
+                .collect();
         let mut take = |idx: usize| outs[idx].take().expect("each task consumed once");
 
         // Deterministic serial fill of the arenas, in grid order, into plain
