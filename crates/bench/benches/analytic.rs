@@ -11,7 +11,7 @@ use concorde_analytic::prelude::*;
 use concorde_branch::{BranchUnit, PredictorKind};
 use concorde_cache::{simulate_inorder, Hierarchy, MemConfig};
 use concorde_core::ReproProfile;
-use concorde_trace::{by_id, generate_region};
+use concorde_trace::{build_static_program, by_id, generate_region};
 
 fn bench_analytic(c: &mut Criterion) {
     let n = 16_384;
@@ -46,6 +46,16 @@ fn bench_analytic(c: &mut Criterion) {
     let (warmup, region) = full.split_at(quick.warmup_len);
     let quick_info = analyze_static(region);
     let quick_data = analyze_data(warmup, region, MemConfig::default());
+    // Trace generation for a cold store build: the static CFG of the
+    // suite's largest program (S10, ~4000 blocks), and one quick-profile
+    // warm-up + region walk, which builds its own static program first.
+    let s10 = by_id("S10").unwrap();
+    c.bench_function("static_program_s10", |b| {
+        b.iter(|| build_static_program(&s10, 0));
+    });
+    c.bench_function("trace_generation_8k", |b| {
+        b.iter(|| generate_region(&spec, 0, 0, quick.warmup_len + quick.region_len));
+    });
     c.bench_function("hierarchy_new_n1", |b| {
         b.iter(|| Hierarchy::new(MemConfig::default()));
     });
@@ -56,10 +66,13 @@ fn bench_analytic(c: &mut Criterion) {
         b.iter(|| analyze_inst(warmup, region, MemConfig::default()));
     });
     c.bench_function("rob_sweep_quick", |b| {
+        let mut scratch = RobScratch::default();
         b.iter(|| {
             ROB_SWEEP
                 .iter()
-                .map(|&rob| rob_model(&quick_info, &quick_data, rob).commit_cycles[0])
+                .map(|&rob| {
+                    rob_model_with(&mut scratch, &quick_info, &quick_data, rob).commit_cycles[0]
+                })
                 .sum::<u64>()
         });
     });

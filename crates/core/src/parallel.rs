@@ -26,20 +26,23 @@ pub fn parallel_map_with<S, T: Send, I: Fn() -> S + Sync, F: Fn(&mut S, usize) -
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = f(&mut state, i);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                }
-            });
+    let work = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let out = f(&mut state, i);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
         }
+    };
+    // The calling thread is one of the workers.
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

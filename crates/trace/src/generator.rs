@@ -33,9 +33,9 @@ const PHASE_ARENA: u64 = 256 << 20;
 /// Registers reserved for pointer-chase chains (serial dependent loads).
 const CHASE_REGS: [RegId; 4] = [24, 25, 26, 27];
 
-fn mix_weights(phase: &PhaseSpec) -> [(OpClass, f32); 9] {
+fn mix_weights(phase: &PhaseSpec) -> Weighted<OpClass, 9> {
     let m = phase.mix;
-    [
+    Weighted::new([
         (OpClass::IntAlu, m.alu),
         (OpClass::IntMul, m.mul),
         (OpClass::IntDiv, m.div),
@@ -45,20 +45,36 @@ fn mix_weights(phase: &PhaseSpec) -> [(OpClass, f32); 9] {
         (OpClass::Load, m.load),
         (OpClass::Store, m.store),
         (OpClass::Nop, m.nop),
-    ]
+    ])
 }
 
-fn sample_weighted<T: Copy>(items: &[(T, f32)], rng: &mut ChaCha12Rng) -> T {
-    let total: f32 = items.iter().map(|(_, w)| w.max(0.0)).sum();
-    let mut x = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
-    for &(item, w) in items {
-        let w = w.max(0.0);
-        if x < w {
-            return item;
+/// A discrete distribution for repeated draws: the items, their weights
+/// clamped at zero, and the weights' total, summed once.
+struct Weighted<T, const N: usize> {
+    items: [(T, f32); N],
+    total: f32,
+}
+
+impl<T: Copy, const N: usize> Weighted<T, N> {
+    fn new(items: [(T, f32); N]) -> Self {
+        let total = items.iter().map(|(_, w)| w.max(0.0)).sum();
+        Weighted {
+            items: items.map(|(item, w)| (item, w.max(0.0))),
+            total,
         }
-        x -= w;
     }
-    items[items.len() - 1].0
+
+    /// Draws an item with probability proportional to its weight.
+    fn sample(&self, rng: &mut ChaCha12Rng) -> T {
+        let mut x = rng.gen_range(0.0..self.total.max(f32::MIN_POSITIVE));
+        for &(item, w) in &self.items {
+            if x < w {
+                return item;
+            }
+            x -= w;
+        }
+        self.items[N - 1].0
+    }
 }
 
 fn splitmix(mut z: u64) -> u64 {
@@ -86,15 +102,15 @@ fn build_phase_patterns(
     let wss = phase.mem.wss_bytes.max(1024);
     let stack_wss = wss.min(16 * 1024);
     let stack_base = arena + PHASE_ARENA / 2;
-    let fams = [
+    let fams = Weighted::new([
         (0u8, phase.mem.seq_w),
         (1, phase.mem.strided_w),
         (2, phase.mem.random_w),
         (3, phase.mem.chase_w),
         (4, phase.mem.stack_w),
-    ];
+    ]);
     (0..PATTERNS_PER_PHASE)
-        .map(|_| match sample_weighted(&fams, rng) {
+        .map(|_| match fams.sample(rng) {
             0 => AddressPattern::Sequential { base: arena, wss },
             1 => AddressPattern::Strided {
                 base: arena,
@@ -111,15 +127,24 @@ fn build_phase_patterns(
         .collect()
 }
 
-fn sample_behavior(spec: &WorkloadSpec, rng: &mut ChaCha12Rng) -> BranchBehavior {
+/// The four behaviour families of `spec`'s conditional branches.
+fn behavior_kinds(spec: &WorkloadSpec) -> Weighted<u8, 4> {
     let b = spec.branch;
-    let kinds = [
+    Weighted::new([
         (0u8, b.biased_w),
         (1, b.loop_w),
         (2, b.periodic_w),
         (3, b.random_w),
-    ];
-    match sample_weighted(&kinds, rng) {
+    ])
+}
+
+fn sample_behavior(
+    spec: &WorkloadSpec,
+    kinds: &Weighted<u8, 4>,
+    rng: &mut ChaCha12Rng,
+) -> BranchBehavior {
+    let b = spec.branch;
+    match kinds.sample(rng) {
         0 => {
             let p = rng.gen_range(0.9f32..0.99);
             BranchBehavior::Biased {
@@ -173,6 +198,17 @@ pub fn build_static_program(spec: &WorkloadSpec, trace_idx: u32) -> StaticProgra
     let mut blocks = Vec::with_capacity(total_blocks);
     let mut pc = spec.code.code_base;
     let mut chase_cursor = 0usize;
+    let b = spec.branch;
+    let terminator_kinds = Weighted::new([
+        (0u8, b.cond_frac),
+        (1, b.uncond_frac),
+        (2, b.indirect_frac),
+        (
+            3,
+            (1.0 - b.cond_frac - b.uncond_frac - b.indirect_frac).max(0.0),
+        ),
+    ]);
+    let behavior_kinds = behavior_kinds(spec);
 
     #[allow(clippy::needless_range_loop)] // phase_idx indexes two parallel arrays
     for phase_idx in 0..n_phases {
@@ -192,7 +228,7 @@ pub fn build_static_program(spec: &WorkloadSpec, trace_idx: u32) -> StaticProgra
             let mut ops = Vec::with_capacity(n_ops);
             let mut last_dst: Option<RegId> = None;
             for _ in 0..n_ops {
-                let op = sample_weighted(&weights, &mut rng);
+                let op = weights.sample(&mut rng);
                 let chain = last_dst.filter(|_| rng.gen::<f32>() < spec.chain_frac);
                 let (srcs, dst, pattern_idx) = match op {
                     OpClass::Load => {
@@ -245,19 +281,9 @@ pub fn build_static_program(spec: &WorkloadSpec, trace_idx: u32) -> StaticProgra
             }
 
             // Terminator.
-            let b = spec.branch;
-            let kinds = [
-                (0u8, b.cond_frac),
-                (1, b.uncond_frac),
-                (2, b.indirect_frac),
-                (
-                    3,
-                    (1.0 - b.cond_frac - b.uncond_frac - b.indirect_frac).max(0.0),
-                ),
-            ];
-            let terminator = match sample_weighted(&kinds, &mut rng) {
+            let terminator = match terminator_kinds.sample(&mut rng) {
                 0 => {
-                    let behavior = sample_behavior(spec, &mut rng);
+                    let behavior = sample_behavior(spec, &behavior_kinds, &mut rng);
                     // Loop back-edges target an earlier (or same) block so that
                     // "taken" really forms a loop; other conditionals jump anywhere
                     // within the phase.
