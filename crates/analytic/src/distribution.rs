@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// most this many distinct integers per sample, and sorts them otherwise:
 /// counting costs one pass over the samples plus one over the span, so it
 /// beats a sort while the span stays within a small multiple of the length.
-pub const HIST_SPAN_PER_SAMPLE: usize = 4;
+const HIST_SPAN_PER_SAMPLE: usize = 4;
 
 /// Encoding configuration: `levels` percentiles per half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,8 +50,8 @@ impl Encoding {
     /// Encodes an integer-valued series (e.g. window counts, latencies).
     ///
     /// Bitwise equal to `encode` over the samples widened to `f64`. When
-    /// the values span at most [`HIST_SPAN_PER_SAMPLE`] distinct integers
-    /// per sample and their sum is at most 2^53, the encoding is read off a
+    /// the values span at most four distinct integers per sample and their
+    /// sum is at most 2^53, the encoding is read off a
     /// histogram of the values: every partial sum `encode` forms is then an
     /// integer that `f64` holds exactly, so exact integer sums reproduce it.
     /// Wider series are sorted as integers, which gives the same sequence

@@ -427,8 +427,9 @@ impl ConcordePredictor {
     /// Returns any I/O or deserialization error, and an
     /// [`InvalidData`](std::io::ErrorKind::InvalidData) error for a model
     /// whose shapes do not fit together or that holds a non-finite value
-    /// (see [`ConcordePredictor::check_shape`]), which would otherwise panic
-    /// or answer NaN on its first prediction.
+    /// (normalizer lengths against `layout.dim()`, the layer chain, finite
+    /// values), which would otherwise panic or answer NaN on its first
+    /// prediction.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let f = std::fs::File::open(path)?;
         let model: Self =
@@ -450,7 +451,7 @@ impl ConcordePredictor {
     /// # Errors
     ///
     /// Describes the first violation found.
-    pub fn check_shape(&self) -> Result<(), String> {
+    fn check_shape(&self) -> Result<(), String> {
         let dim = self.layout.dim();
         let norm = &self.normalizer;
         if norm.mean.len() != dim || norm.std.len() != dim {

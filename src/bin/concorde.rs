@@ -91,12 +91,20 @@ fn parse_arch(args: &[String]) -> MicroArch {
     }
 }
 
+/// Longest region `--len` accepts: the ROB model indexes instructions in
+/// 24 bits.
+const MAX_LEN: usize = (1 << 24) - 1;
+
 fn parse_len(args: &[String], default: usize) -> usize {
     match flag_value(args, "--len") {
         None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| bail(&format!("--len `{v}` is not a number"))),
+        Some(v) => match v.parse() {
+            Ok(len) if len <= MAX_LEN => len,
+            Ok(_) => bail(&format!(
+                "--len `{v}` is above the {MAX_LEN}-instruction limit"
+            )),
+            Err(_) => bail(&format!("--len `{v}` is not a number")),
+        },
     }
 }
 
