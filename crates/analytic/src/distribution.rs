@@ -51,11 +51,11 @@ impl Encoding {
     ///
     /// Bitwise equal to `encode` over the samples widened to `f64`. When
     /// the values span at most four distinct integers per sample and their
-    /// sum is at most 2^53, the encoding is read off a
-    /// histogram of the values: every partial sum `encode` forms is then an
-    /// integer that `f64` holds exactly, so exact integer sums reproduce it.
-    /// Wider series are sorted as integers, which gives the same sequence
-    /// `encode` sorts into, since widening is exact and monotone.
+    /// sum is at most 2^53, the encoding is read off a histogram of the
+    /// values: every partial sum `encode` forms is then an integer that
+    /// `f64` holds exactly, so exact integer sums reproduce it. Wider series
+    /// are sorted as integers, which gives the same sequence `encode` sorts
+    /// into, since widening is exact and monotone.
     pub fn encode_u32(&self, samples: &[u32]) -> Vec<f32> {
         let n = samples.len();
         if n == 0 {
