@@ -3,8 +3,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Runs `f(0..n)` across `threads` scoped workers (work-stealing by atomic
-/// counter); falls back to a serial loop for one thread or tiny `n`. Output
+/// Runs `f(0..n)` across `threads` workers, the calling thread and
+/// `threads - 1` scoped threads (work-stealing by atomic counter); falls
+/// back to a serial loop for one thread or tiny `n`. Output
 /// order is by index, so results are deterministic regardless of scheduling.
 pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, threads: usize, f: F) -> Vec<T> {
     parallel_map_with(n, threads, || (), |_, i| f(i))
@@ -37,7 +38,6 @@ pub fn parallel_map_with<S, T: Send, I: Fn() -> S + Sync, F: Fn(&mut S, usize) -
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
         }
     };
-    // The calling thread is one of the workers.
     std::thread::scope(|s| {
         for _ in 1..threads {
             s.spawn(work);
